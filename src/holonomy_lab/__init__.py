@@ -13,7 +13,6 @@ from .errors import (
     GridMiss,
     GridTooCoarse,
     HolonomyError,
-    Inconsistent,
     InvalidState,
     NegativeWeight,
     NotHermitian,

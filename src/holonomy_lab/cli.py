@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,13 +26,8 @@ from .evolution import density_path
 from .linalg import DEFAULT_TOL
 from .offdiag import nu_functional, off_diagonal_invariant
 from .report import UNDEFINED, encode_complex, encode_matrix, to_csv_rows, to_json, to_text
-from .scenario_io import PRESETS, ScenarioConfig, load_scenario
-from .scenarios import (
-    BellScenario,
-    bell_basis,
-    evolution_spec,
-    run_bell_scenario,
-)
+from .scenario_io import PRESETS, ScenarioConfig, load_scenario, parse_scenario
+from .scenarios import BellScenario, bell_basis, evolution_spec, run_bell_scenario
 from .transport import discrete_holonomy
 from .verify import property_groups, run_properties
 
@@ -67,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, default=None, help="transport grid steps override")
         p.add_argument("--u", type=float, default=None, help="rotating-frame scale override")
         p.add_argument("--tol", type=float, default=None, help="global tolerance (default HOLONOMY_LAB_TOL or 1e-9)")
-        p.add_argument("--seed", type=int, default=0, help="seed for any randomized content")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     run_p = sub.add_parser("run", help="run one scenario and emit a report")
@@ -114,44 +109,22 @@ def _diag_block(diag, closed_form_error=None):
 def _load_config(args) -> ScenarioConfig:
     tol = args.tol if args.tol is not None else _env_tol()
     if args.scenario in PRESETS:
-        cfg = ScenarioConfig(name=args.scenario)
-        cfg.preset = BellScenario(
-            epsilon=0.5 if args.epsilon is None else args.epsilon,
-            variant="static" if args.scenario == "bell-static" else "rotating",
-            u=1.0 if args.u is None else args.u,
-            n_steps=1000 if args.steps is None else args.steps,
-        )
-        cfg.tolerances = {"phase": tol, "transport": tol}
-        return cfg
-    cfg = load_scenario(args.scenario, base_tol=tol)
+        cfg = parse_scenario({"format_version": 1, "scenario": args.scenario}, name=args.scenario, base_tol=tol)
+    else:
+        cfg = load_scenario(args.scenario, base_tol=tol)
     if cfg.preset is not None:
-        overrides = {}
-        if args.epsilon is not None:
-            overrides["epsilon"] = args.epsilon
-        if args.u is not None:
-            overrides["u"] = args.u
-        if args.steps is not None:
-            overrides["n_steps"] = args.steps
-        if overrides:
-            p = cfg.preset
-            cfg.preset = BellScenario(
-                epsilon=overrides.get("epsilon", p.epsilon),
-                variant=p.variant,
-                u=overrides.get("u", p.u),
-                n_steps=overrides.get("n_steps", p.n_steps),
-            )
-    cfg.tolerances.setdefault("phase", tol)
-    cfg.tolerances.setdefault("transport", tol)
+        flags = {"epsilon": args.epsilon, "u": args.u, "n_steps": args.steps}
+        cfg.preset = replace(cfg.preset, **{k: v for k, v in flags.items() if v is not None})
     return cfg
+
+
+def _run_preset(cfg: ScenarioConfig, s: BellScenario):
+    return run_bell_scenario(s, tol=cfg.tolerances["transport"], phase_tol=cfg.tolerances["phase"])
 
 
 def _report_preset(cfg: ScenarioConfig, dump_isometry: bool) -> dict:
     s = cfg.preset
-    rep = run_bell_scenario(
-        s,
-        tol=cfg.tolerances.get("transport", DEFAULT_TOL),
-        phase_tol=cfg.tolerances.get("phase", DEFAULT_TOL),
-    )
+    rep = _run_preset(cfg, s)
     invariants = []
     for name, indices in (("X1", [1]), ("X2", [2]), ("X12", [1, 2])):
         block = {"name": name, "indices": indices}
@@ -198,8 +171,8 @@ def _report_preset(cfg: ScenarioConfig, dump_isometry: bool) -> dict:
 
 
 def _report_generic(cfg: ScenarioConfig, dump_isometry: bool) -> dict:
-    tol = cfg.tolerances.get("transport", DEFAULT_TOL)
-    phase_tol = cfg.tolerances.get("phase", DEFAULT_TOL)
+    tol = cfg.tolerances["transport"]
+    phase_tol = cfg.tolerances["phase"]
     needed = sorted({j for seq in cfg.invariants for j in seq})
     results = {}
     residuals = {}
@@ -253,7 +226,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-_SWEEP_PARAMETERS = ("epsilon", "steps", "u")
+# Sweep parameter -> (BellScenario field, value type).
+_SWEEP_PARAMETERS = {"epsilon": ("epsilon", float), "steps": ("n_steps", int), "u": ("u", float)}
 
 
 def _cmd_sweep(args) -> int:
@@ -276,17 +250,10 @@ def _cmd_sweep(args) -> int:
     lines = [header]
     from .report import fmt
 
+    attr, convert = _SWEEP_PARAMETERS[args.parameter]
     for value in values:
-        base = cfg.preset
-        kwargs = dict(epsilon=base.epsilon, variant=base.variant, u=base.u, n_steps=base.n_steps)
-        if args.parameter == "epsilon":
-            kwargs["epsilon"] = value
-        elif args.parameter == "u":
-            kwargs["u"] = value
-        else:
-            kwargs["n_steps"] = int(value)
         started = time.perf_counter()
-        rep = run_bell_scenario(BellScenario(**kwargs))
+        rep = _run_preset(cfg, replace(cfg.preset, **{attr: convert(value)}))
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         d1, d12 = rep.diagnoses["X1"], rep.diagnoses["X12"]
         nu12 = fmt(d12.phase) if d12.phase_defined else UNDEFINED
@@ -332,6 +299,10 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_verify(args)
+    except np.linalg.LinAlgError as exc:
+        # A ValueError subclass, but a failed decomposition is numerical.
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

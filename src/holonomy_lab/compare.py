@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotUnitary
-from .linalg import DEFAULT_TOL, as_square_matrix, dagger, op_norm
+from .linalg import DEFAULT_TOL, as_square_matrix, dagger, op_norm, support_power
 from .evolution import EvolutionSpec, TimeGrid, unitary_at
 from .offdiag import nu_functional, off_diagonal_invariant, principal_angle
 from .state import Amplitude, DensityOperator
@@ -100,14 +100,6 @@ class InterferometricPhase:
         return None if self.factor is None else principal_angle(self.factor)
 
 
-def _nth_root(rho: DensityOperator, l: int, tol: float) -> np.ndarray:
-    w = np.clip(rho.eigenvalues, 0.0, None)
-    top = max(w[-1], tol)
-    w = np.where(w > tol * top, w, 0.0)
-    V = rho.eigenvectors
-    return (V * w ** (1.0 / l)) @ dagger(V)
-
-
 def interferometric_offdiag_phase(
     U_final, family: PermutedFamily, l: int, tol: float = DEFAULT_TOL
 ):
@@ -126,7 +118,8 @@ def interferometric_offdiag_phase(
         raise DimensionMismatch("family and unitary dimensions differ")
     prod = np.eye(U.shape[0], dtype=complex)
     for k in range(l):
-        prod = prod @ U @ _nth_root(family.state(k), l, tol)
+        rho = family.state(k)
+        prod = prod @ U @ support_power(rho.eigenvalues, rho.eigenvectors, 1.0 / l, tol)
     trace = complex(np.trace(prod))
     if abs(trace) <= tol:
         return InterferometricPhase(trace=trace, defined=False, factor=None)

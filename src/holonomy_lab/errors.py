@@ -57,10 +57,6 @@ class ZeroOperator(HolonomyError):
     """Operator vanishes; no polar isometry can be extracted."""
 
 
-class Inconsistent(HolonomyError):
-    """Left and right polar isometries disagree beyond tolerance."""
-
-
 class UnknownParameter(HolonomyError):
     """Sweep parameter is not one of the supported names."""
 

@@ -21,11 +21,13 @@ __all__ = [
     "dagger",
     "op_norm",
     "hermitian_sqrt",
+    "support_power",
     "support_projector",
     "polar",
     "polar_isometry",
     "is_partial_isometry",
     "unitary_exp",
+    "validate_density",
     "transition_probability",
 ]
 
@@ -71,6 +73,18 @@ def hermitian_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     R = (V * np.sqrt(w)) @ dagger(V)
     return (R + dagger(R)) / 2
+
+
+def support_power(w: np.ndarray, V: np.ndarray, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Power p of a PSD matrix on its support, zero on the rest.
+
+    Takes the eigen-data (w ascending, V eigenvectors as columns) and
+    keeps eigenvalues w > tol * max(w_max, tol); negative p gives the
+    pseudo-inverse power.
+    """
+    w = np.clip(w, 0.0, None)
+    keep = w > tol * max(w[-1], tol)
+    return (V * (np.where(keep, w, 1.0) ** p * keep)) @ dagger(V)
 
 
 def support_projector(M, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -150,18 +164,24 @@ def unitary_exp(H, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (V * np.exp(-1j * t * w)) @ dagger(V)
 
 
-def _validate_density(m: np.ndarray, tol: float, what: str) -> np.ndarray:
+def validate_density(m, tol: float = DEFAULT_TOL):
+    """Check that m is a density matrix; return it symmetrised with its eigh.
+
+    Raises InvalidState unless m is Hermitian, has no eigenvalue below
+    -tol and has unit trace, each within tolerance.
+    """
     m = as_square_matrix(m)
     herm = op_norm(m - dagger(m))
     if herm > tol:
-        raise InvalidState(f"{what}: not Hermitian (defect {herm:.3e})")
-    w = np.linalg.eigvalsh((m + dagger(m)) / 2)
+        raise InvalidState(f"density matrix not Hermitian (defect {herm:.3e})")
+    m = (m + dagger(m)) / 2
+    w, V = np.linalg.eigh(m)
     if w[0] < -tol:
-        raise InvalidState(f"{what}: negative eigenvalue {w[0]:.3e}")
+        raise InvalidState(f"density matrix has eigenvalue {w[0]:.3e} < -tol")
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > tol * m.shape[0]:
-        raise InvalidState(f"{what}: trace must be 1, got {tr!r}")
-    return m
+        raise InvalidState(f"density matrix trace must be 1, got {tr!r}")
+    return m, w, V
 
 
 def transition_probability(rho, sigma, tol: float = DEFAULT_TOL) -> float:
@@ -172,10 +192,12 @@ def transition_probability(rho, sigma, tol: float = DEFAULT_TOL) -> float:
     eigenvalues. A real number in [0, 1]; equals 1 iff the states
     coincide and |<psi|phi>|^2 for pure states. Symmetric.
     """
-    r = _validate_density(getattr(rho, "matrix", rho), tol, "rho")
-    s = _validate_density(getattr(sigma, "matrix", sigma), tol, "sigma")
-    if r.shape != s.shape:
-        raise InvalidState(f"dimension mismatch: {r.shape} vs {s.shape}")
-    sv = np.linalg.svd(hermitian_sqrt(r, tol) @ hermitian_sqrt(s, tol), compute_uv=False)
+    roots = []
+    for state in (rho, sigma):
+        _, w, V = validate_density(getattr(state, "matrix", state), tol)
+        roots.append((V * np.sqrt(np.clip(w, 0.0, None))) @ dagger(V))
+    if roots[0].shape != roots[1].shape:
+        raise InvalidState(f"dimension mismatch: {roots[0].shape} vs {roots[1].shape}")
+    sv = np.linalg.svd(roots[0] @ roots[1], compute_uv=False)
     fid = float(np.sum(sv) ** 2)
     return min(max(fid, 0.0), 1.0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, Inconsistent, ZeroOperator
+from .errors import DimensionMismatch, ZeroOperator
 from .linalg import (
     DEFAULT_TOL,
     as_square_matrix,
@@ -140,31 +140,14 @@ def nu_functional(A, X, tol: float = DEFAULT_TOL) -> NodalDiagnosis:
 def holonomy_isometry(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Shared partial isometry of the left and right polar decompositions.
 
-    The two extraction routes (through (X^dag X)^{1/2} and (X X^dag)^{1/2})
-    are computed independently and must agree; disagreement raises
-    Inconsistent because it would contradict the uniqueness argument.
+    Computed by the SVD route of ``polar_isometry``; the property suite
+    (``polar-consistency``) cross-checks it against the routes through
+    (X^dag X)^{1/2} and (X X^dag)^{1/2}.
     """
     op = X.operator if isinstance(X, OffDiagInvariant) else as_square_matrix(X)
-    scale = op_norm(op)
-    if scale <= tol:
+    if op_norm(op) <= tol:
         raise ZeroOperator("cannot extract an isometry from a vanishing invariant")
-    u_svd = polar_isometry(op, tol)
-
-    def _pinv_sqrt(h):
-        # Cut on the squared scale: eigh noise of X^dag X sits near
-        # eps * sigma_max^2 and must stay below the kernel threshold.
-        w, V = np.linalg.eigh((h + dagger(h)) / 2)
-        w = np.clip(w, 0.0, None)
-        top = max(w[-1], tol)
-        inv = np.where(w > tol * top, 1.0 / np.sqrt(np.clip(w, tol * top, None)), 0.0)
-        return (V * inv) @ dagger(V)
-
-    u_left = op @ _pinv_sqrt(dagger(op) @ op)
-    u_right = _pinv_sqrt(op @ dagger(op)) @ op
-    atol = max(1e-8, tol * op.shape[0]) * max(1.0, scale)
-    if op_norm(u_left - u_right) > atol or op_norm(u_left - u_svd) > atol:
-        raise Inconsistent("left and right polar isometries disagree")
-    return u_svd
+    return polar_isometry(op, tol)
 
 
 def alternative_ordering(results, indices=None) -> np.ndarray:

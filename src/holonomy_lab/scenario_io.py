@@ -9,13 +9,14 @@ sequences to assemble. Complex entries are written as [re, im] pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
 
 from .errors import InvalidState, ScenarioFormatError
 from .evolution import RotatingFrame, SampledUnitaries, StaticHamiltonian, TimeGrid
+from .linalg import DEFAULT_TOL
 from .scenarios import BellScenario, bell_mixture
 from .state import DensityOperator
 
@@ -154,8 +155,13 @@ def _parse_evolution(entry, fieldname: str, dim: int | None):
     _fail(f"{fieldname}.variant", f"expected static, rotating or sampled, got {variant!r}")
 
 
-def parse_scenario(data, name: str = "<scenario>", base_tol: float = 1e-9) -> ScenarioConfig:
-    """Validate a parsed mapping into a ScenarioConfig."""
+def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL) -> ScenarioConfig:
+    """Validate a parsed mapping into a ScenarioConfig.
+
+    A preset takes epsilon 0.5 and BellScenario's defaults unless the
+    mapping overrides them; the phase and transport tolerances default
+    to ``base_tol``.
+    """
     if not isinstance(data, dict):
         _fail("file", "top level must be a mapping")
     version = data.get("format_version")
@@ -170,7 +176,9 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = 1e-9) -> Sc
             if k not in ("phase", "transport", "support"):
                 _fail(f"tolerances.{k}", "unknown tolerance name")
             tolerances[k] = _as_number(v, f"tolerances.{k}")
-    tol = tolerances.get("transport", base_tol)
+    tolerances.setdefault("phase", base_tol)
+    tolerances.setdefault("transport", base_tol)
+    tol = tolerances["transport"]
 
     cfg = ScenarioConfig(name=name, tolerances=tolerances)
 
@@ -179,12 +187,13 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = 1e-9) -> Sc
         if preset not in PRESETS:
             _fail("scenario", f"unknown preset {preset!r}; expected one of {PRESETS}")
         try:
-            cfg.preset = BellScenario(
-                epsilon=_as_number(data.get("epsilon", 0.5), "epsilon"),
-                variant="static" if preset == "bell-static" else "rotating",
-                u=_as_number(data.get("u", 1.0), "u"),
-                n_steps=int(_as_number(data.get("steps", 1000), "steps")),
-            )
+            overrides = {
+                attr: convert(_as_number(data[key], key))
+                for key, attr, convert in (("epsilon", "epsilon", float), ("u", "u", float), ("steps", "n_steps", int))
+                if key in data
+            }
+            variant = "static" if preset == "bell-static" else "rotating"
+            cfg.preset = replace(BellScenario(epsilon=0.5, variant=variant), **overrides)
         except Exception as exc:
             _fail("scenario", str(exc))
         return cfg
@@ -247,7 +256,7 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = 1e-9) -> Sc
     return cfg
 
 
-def load_scenario(path: str, base_tol: float = 1e-9) -> ScenarioConfig:
+def load_scenario(path: str, base_tol: float = DEFAULT_TOL) -> ScenarioConfig:
     """Read and validate a scenario file; parse errors name the line."""
     try:
         with open(path, "r", encoding="utf-8") as handle:

@@ -21,7 +21,7 @@ from .evolution import (
     StaticHamiltonian,
     TimeGrid,
 )
-from .linalg import dagger, op_norm
+from .linalg import DEFAULT_TOL, dagger, op_norm
 from .offdiag import nu_functional, off_diagonal_invariant
 from .state import DensityOperator
 from .transport import discrete_holonomy
@@ -76,13 +76,18 @@ def _outer(a, b) -> np.ndarray:
     return np.outer(a, b.conj())
 
 
-def bell_mixture(epsilon: float) -> DensityOperator:
-    """(|Psi-><Psi-| + eps |Psi+><Psi+|) / (1 + eps); rank 1 at eps = 0."""
+def _pair_mixture(first, second, epsilon: float) -> DensityOperator:
+    """(|first><first| + eps |second><second|) / (1 + eps) for orthonormal vectors."""
     if epsilon < 0:
         raise NegativeWeight(f"mixture weight must be >= 0, got {epsilon!r}")
-    psi_plus, psi_minus, _, _ = bell_basis()
-    m = (_outer(psi_minus, psi_minus) + epsilon * _outer(psi_plus, psi_plus)) / (1 + epsilon)
+    m = (_outer(first, first) + epsilon * _outer(second, second)) / (1 + epsilon)
     return DensityOperator(m)
+
+
+def bell_mixture(epsilon: float) -> DensityOperator:
+    """(|Psi-><Psi-| + eps |Psi+><Psi+|) / (1 + eps); rank 1 at eps = 0."""
+    psi_plus, psi_minus, _, _ = bell_basis()
+    return _pair_mixture(psi_minus, psi_plus, epsilon)
 
 
 def spin_flip_unitary() -> np.ndarray:
@@ -138,6 +143,13 @@ def gauge_angle(s: BellScenario, t: float) -> float:
     return float(np.sqrt(s.epsilon) * s.omega * t / (1 + s.epsilon))
 
 
+def _plane_gauge(gamma: float, a, b) -> np.ndarray:
+    """cos(gamma) on the projector onto span(a, b), -i sin(gamma) on its swap."""
+    plane = _outer(a, a) + _outer(b, b)
+    swap = _outer(a, b) + _outer(b, a)
+    return np.cos(gamma) * plane - 1j * np.sin(gamma) * swap
+
+
 def closed_form_B_r1(s: BellScenario, t: float) -> np.ndarray:
     """Closed-form ancilla gauge on the Psi plane for the rotating drive.
 
@@ -148,30 +160,14 @@ def closed_form_B_r1(s: BellScenario, t: float) -> np.ndarray:
         raise WrongVariant("closed_form_B_r1 belongs to the rotating variant")
     if t < -1e-12 or t > s.tau + 1e-12:
         raise ValueError(f"t = {t!r} outside [0, {s.tau!r}]")
-    gamma = gauge_angle(s, t)
     psi_plus, psi_minus, _, _ = bell_basis()
-    plane = _outer(psi_plus, psi_plus) + _outer(psi_minus, psi_minus)
-    swap = _outer(psi_plus, psi_minus) + _outer(psi_minus, psi_plus)
-    return np.cos(gamma) * plane - 1j * np.sin(gamma) * swap
-
-
-def _closed_form_B_r2(s: BellScenario, t: float) -> np.ndarray:
-    """Same construction on the Phi plane (for the reference path)."""
-    if s.variant != "rotating":
-        raise WrongVariant("the closed-form gauge belongs to the rotating variant")
-    gamma = gauge_angle(s, t)
-    _, _, phi_plus, phi_minus = bell_basis()
-    plane = _outer(phi_plus, phi_plus) + _outer(phi_minus, phi_minus)
-    swap = _outer(phi_plus, phi_minus) + _outer(phi_minus, phi_plus)
-    return np.cos(gamma) * plane - 1j * np.sin(gamma) * swap
+    return _plane_gauge(gauge_angle(s, t), psi_plus, psi_minus)
 
 
 def _rho2_initial(s: BellScenario) -> DensityOperator:
     """Reference state rho_2(0) = rho_1(tau): the flipped Bell mixture."""
     _, _, phi_plus, phi_minus = bell_basis()
-    eps = s.epsilon
-    m = (_outer(phi_plus, phi_plus) + eps * _outer(phi_minus, phi_minus)) / (1 + eps)
-    return DensityOperator(m)
+    return _pair_mixture(phi_plus, phi_minus, s.epsilon)
 
 
 def closed_form_invariants(s: BellScenario):
@@ -188,8 +184,10 @@ def closed_form_invariants(s: BellScenario):
         x1 = usf @ rho1.matrix
         x2 = usf @ rho2.matrix
     else:
-        x1 = usf @ rho1.sqrt @ closed_form_B_r1(s, s.tau) @ rho1.sqrt
-        x2 = usf @ rho2.sqrt @ _closed_form_B_r2(s, s.tau) @ rho2.sqrt
+        psi_plus, psi_minus, phi_plus, phi_minus = bell_basis()
+        gamma = gauge_angle(s, s.tau)
+        x1 = usf @ rho1.sqrt @ _plane_gauge(gamma, psi_plus, psi_minus) @ rho1.sqrt
+        x2 = usf @ rho2.sqrt @ _plane_gauge(gamma, phi_plus, phi_minus) @ rho2.sqrt
     return x1, x2, x1 @ x2
 
 
@@ -234,7 +232,7 @@ class ScenarioReport:
 def run_bell_scenario(
     s: BellScenario,
     reference_state: DensityOperator | None = None,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     phase_tol: float | None = None,
 ) -> ScenarioReport:
     """Transport both Bell paths and assemble the order-1 and order-2 invariants.

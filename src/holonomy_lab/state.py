@@ -21,6 +21,7 @@ from .linalg import (
     hermitian_sqrt,
     is_partial_isometry,
     op_norm,
+    validate_density,
 )
 
 __all__ = [
@@ -41,17 +42,7 @@ class DensityOperator:
     """
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        matrix = as_square_matrix(matrix)
-        herm = op_norm(matrix - dagger(matrix))
-        if herm > tol:
-            raise InvalidState(f"density matrix not Hermitian (defect {herm:.3e})")
-        matrix = (matrix + dagger(matrix)) / 2
-        w, V = np.linalg.eigh(matrix)
-        if w[0] < -tol:
-            raise InvalidState(f"density matrix has eigenvalue {w[0]:.3e} < -tol")
-        tr = float(np.trace(matrix).real)
-        if abs(tr - 1.0) > tol * matrix.shape[0]:
-            raise InvalidState(f"density matrix trace must be 1, got {tr!r}")
+        matrix, w, V = validate_density(matrix, tol)
         self.matrix = matrix
         self.dim = matrix.shape[0]
         self.tol = tol
@@ -132,10 +123,6 @@ class GaugeIsometry:
             raise InvalidState("gauge matrix is not a partial isometry")
         self.matrix = matrix
         self.dim = matrix.shape[0]
-
-    @classmethod
-    def unitary(cls, matrix, tol: float = DEFAULT_TOL) -> "GaugeIsometry":
-        return cls(matrix, tol=tol)
 
 
 def standard_purification(rho: DensityOperator) -> Amplitude:

@@ -22,6 +22,7 @@ from .linalg import (
     is_partial_isometry,
     op_norm,
     polar_isometry,
+    support_power,
 )
 from .state import Amplitude, DensityOperator, parallelity_residual
 
@@ -135,6 +136,16 @@ def _uniform_dt(grid: TimeGrid) -> float:
     return float(steps[0])
 
 
+def _differentiated_samples(spec: EvolutionSpec, gauge: AncillaGauge):
+    """U(t_k) and B(t_k) on the gauge grid, each with its time derivative."""
+    if gauge.grid.times.size < 3:
+        raise GridTooCoarse("need at least three grid points for central differences")
+    dt = _uniform_dt(gauge.grid)
+    us = np.array([unitary_at(spec, float(t)) for t in gauge.grid.times])
+    bs = np.array(gauge.samples)
+    return us, _derivatives(us, dt), bs, _derivatives(bs, dt)
+
+
 def transport_equation_residual(
     spec: EvolutionSpec, gauge: AncillaGauge, rho0: DensityOperator
 ) -> float:
@@ -144,18 +155,11 @@ def transport_equation_residual(
     with finite-difference derivatives; the max runs over interior grid
     points. A small value certifies that the gauge makes the lift parallel.
     """
-    n = gauge.grid.times.size
-    if n < 3:
-        raise GridTooCoarse("need at least three grid points for central differences")
-    dt = _uniform_dt(gauge.grid)
-    us = np.array([unitary_at(spec, float(t)) for t in gauge.grid.times])
-    bs = np.array(gauge.samples)
-    du = _derivatives(us, dt)
-    db = _derivatives(bs, dt)
+    us, du, bs, db = _differentiated_samples(spec, gauge)
     R = rho0.sqrt
     rho = rho0.matrix
     worst = 0.0
-    for k in range(1, n - 1):
+    for k in range(1, len(us) - 1):
         lhs = 2 * R @ dagger(us[k]) @ du[k] @ R
         rhs = bs[k] @ dagger(db[k]) @ rho - rho @ db[k] @ dagger(bs[k])
         worst = max(worst, op_norm(lhs - rhs))
@@ -167,18 +171,11 @@ def pure_parallelity_residual(spec: EvolutionSpec, gauge: AncillaGauge, psi, phi
 
     Max over the grid of |<psi|U^dag dU/dt|psi> - <phi|B^dag dB/dt|phi>|.
     """
-    n = gauge.grid.times.size
-    if n < 3:
-        raise GridTooCoarse("need at least three grid points for central differences")
-    dt = _uniform_dt(gauge.grid)
+    us, du, bs, db = _differentiated_samples(spec, gauge)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     phi = np.asarray(phi, dtype=complex).reshape(-1)
-    us = np.array([unitary_at(spec, float(t)) for t in gauge.grid.times])
-    bs = np.array(gauge.samples)
-    du = _derivatives(us, dt)
-    db = _derivatives(bs, dt)
     worst = 0.0
-    for k in range(n):
+    for k in range(len(us)):
         a = psi.conj() @ (dagger(us[k]) @ du[k]) @ psi
         b = phi.conj() @ (dagger(bs[k]) @ db[k]) @ phi
         worst = max(worst, abs(a - b))
@@ -202,10 +199,7 @@ def solve_ancilla_gauge(
 
     path = density_path(rho0, spec, grid)
     _, amps = _transport(path, tol, keep_amplitudes=True)
-    w, V = np.linalg.eigh(rho0.matrix)
-    top = max(w[-1], tol)
-    inv_sqrt = np.where(w > tol * top, 1.0 / np.sqrt(np.clip(w, tol * top, None)), 0.0)
-    pinv_root = (V * inv_sqrt) @ dagger(V)
+    pinv_root = support_power(rho0.eigenvalues, rho0.eigenvectors, -0.5, tol)
     samples = []
     for t, Wt in zip(grid.times, amps):
         B = pinv_root @ dagger(unitary_at(spec, float(t))) @ Wt

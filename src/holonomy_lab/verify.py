@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compare import _closed_form_result
 from .evolution import (
     RotatingFrame,
     StaticHamiltonian,
@@ -24,12 +25,14 @@ from .linalg import (
     hermitian_sqrt,
     op_norm,
     polar,
+    support_power,
     support_projector,
     transition_probability,
     unitary_exp,
 )
 from .offdiag import (
     alternative_ordering,
+    holonomy_isometry,
     nu_functional,
     off_diagonal_invariant,
     support_overlap,
@@ -107,15 +110,12 @@ def _zero_diagonal_hamiltonian(rng, vectors, dim):
     return H
 
 
-def _closed_form_lift(U_tau, rho: DensityOperator) -> TransportResult:
-    w0 = rho.sqrt
-    return TransportResult(
-        relative_phase_factor=U_tau @ rho.support,
-        initial_amplitude=Amplitude(w0),
-        final_amplitude=Amplitude(U_tau @ w0),
-        invariant=U_tau @ rho.matrix,
-        max_step_parallelity_residual=0.0,
-        n_steps=0,
+def _random_low_rank(rng):
+    """Square X of random dim 2..6 as a product of random rank-r factors."""
+    dim = int(rng.integers(2, 7))
+    rank = int(rng.integers(1, dim + 1))
+    return (rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))) @ _random_complex(rng, rank) @ (
+        rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
     )
 
 
@@ -137,7 +137,12 @@ def check_hermitian_sqrt(rng):
 
 
 def check_polar_consistency(rng):
-    """Left and right polar isometries agree; both reconstructions hold."""
+    """Left and right polar isometries agree; both reconstructions hold.
+
+    ``holonomy-isometry-routes`` checks holonomy_isometry (the SVD route)
+    against X (X^dag X)^{-1/2} and (X X^dag)^{-1/2} X on the support, for
+    rank-deficient X and the Bell invariants X1 and X12.
+    """
     worst_lr = 0.0
     worst_rec = 0.0
     for _ in range(200):
@@ -157,20 +162,29 @@ def check_polar_consistency(rng):
             op_norm(left.isometry @ left.positive_part - X),
             op_norm(right.positive_part @ right.isometry - X),
         )
+    samples = [_random_low_rank(rng) for _ in range(20)]
+    for variant in ("static", "rotating"):
+        x1, _, x12 = closed_form_invariants(BellScenario(epsilon=0.5, variant=variant))
+        samples += [x1, x12]
+    worst_routes = 0.0
+    for X in samples:
+        u_svd = holonomy_isometry(X)
+        u_left = X @ support_power(*np.linalg.eigh(dagger(X) @ X), -0.5)
+        u_right = support_power(*np.linalg.eigh(X @ dagger(X)), -0.5) @ X
+        deviation = max(op_norm(u_left - u_right), op_norm(u_left - u_svd))
+        worst_routes = max(worst_routes, deviation / max(1.0, op_norm(X)))
+    # The bound is max(1e-8, tol * dim) * max(1, ||X||); tol * dim <= 6e-9 here.
     return [
         _result("polar-consistency", "left-equals-right", worst_lr, 1e-8),
         _result("polar-consistency", "reconstruction", worst_rec, 1e-8),
+        _result("polar-consistency", "holonomy-isometry-routes", worst_routes, 1e-8),
     ]
 
 
 def check_support_projectors(rng):
     worst = 0.0
     for _ in range(20):
-        dim = int(rng.integers(2, 7))
-        rank = int(rng.integers(1, dim + 1))
-        X = (rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))) @ _random_complex(rng, rank) @ (
-            rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
-        )
+        X = _random_low_rank(rng)
         U, s, Vh = np.linalg.svd(X)
         kept = s > 1e-9 * s[0]
         p_left = U[:, kept] @ dagger(U[:, kept])
@@ -434,7 +448,7 @@ def check_pure_state_reduction(rng):
         H = _zero_diagonal_hamiltonian(rng, vecs, dim)
         U = unitary_exp(H, 1.0)
         for l in (1, 2, 3):
-            results = [_closed_form_lift(U, DensityOperator.pure(vecs[k])) for k in range(l)]
+            results = [_closed_form_result(U, DensityOperator.pure(vecs[k])) for k in range(l)]
             X = off_diagonal_invariant(results)
             barg = complex(1.0)
             for k in range(l):
@@ -466,7 +480,7 @@ def check_interferometric_pure(rng):
         H = _zero_diagonal_hamiltonian(rng, [Q[:, i] for i in range(dim)], dim)
         U = unitary_exp(H, 1.0)
         gamma = interferometric_offdiag_phase(U, family, 2)
-        results = [_closed_form_lift(U, DensityOperator.pure(v)) for v in vecs]
+        results = [_closed_form_result(U, DensityOperator.pure(v)) for v in vecs]
         X = off_diagonal_invariant(results)
         tr = complex(np.trace(X.operator))
         if not gamma.defined or abs(tr) < 1e-9:
@@ -497,12 +511,10 @@ def check_global_phase(rng):
 
 
 def check_root_power(rng):
-    from .compare import _nth_root
-
     worst = 0.0
     for l in (1, 2, 3, 5):
         rho = _random_density(rng, 4)
-        root = _nth_root(rho, l, 1e-9)
+        root = support_power(rho.eigenvalues, rho.eigenvectors, 1.0 / l, 1e-9)
         powered = np.linalg.matrix_power(root, l)
         worst = max(worst, op_norm(powered - rho.matrix))
     return [_result("root-power", "lth-root-powers-back", worst, 1e-10)]

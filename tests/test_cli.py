@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from holonomy_lab.cli import main
 
@@ -111,6 +112,27 @@ def test_run_numerical_failure_exit_two(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_run_svd_failure_exits_two(capsys, monkeypatch):
+    # LinAlgError is a ValueError, but a failed SVD is a numerical failure.
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    code, _, err = run_cli(capsys, "run", "--scenario", "bell-static", "--steps", "8")
+    assert code == 2
+    assert "numerical failure: SVD did not converge" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("run", "--scenario", "bell-static"),
+    ("sweep", "--scenario", "bell-static", "--parameter", "epsilon", "--values", "0.5"),
+])
+def test_seed_flag_is_verify_only(capsys, command):
+    code, _, err = run_cli(capsys, *command, "--seed", "3")
+    assert code == 1
+    assert "--seed" in err
+
+
 def test_run_dump_isometry(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--scenario", "bell-static", "--steps", "64",
@@ -203,6 +225,16 @@ def test_sweep_unknown_parameter(capsys):
     )
     assert code == 1
     assert "parameter" in err
+
+
+def test_sweep_honours_tolerance(capsys):
+    # Like run, a tolerance of 0.2 leaves the phase of X12 undefined.
+    code, out, _ = run_cli(
+        capsys, "sweep", "--scenario", "bell-static", "--parameter", "epsilon",
+        "--values", "0.5", "--tol", "0.2",
+    )
+    assert code == 0
+    assert out.splitlines()[1].split(",")[3] == "undefined"
 
 
 def test_sweep_deterministic_apart_from_timing(capsys):

@@ -10,9 +10,11 @@ from holonomy_lab.linalg import (
     is_partial_isometry,
     op_norm,
     polar,
+    support_power,
     support_projector,
     transition_probability,
     unitary_exp,
+    validate_density,
 )
 
 from conftest import (
@@ -262,3 +264,43 @@ def test_transition_probability_symmetric_and_bounded(rng):
 def test_transition_probability_rejects_invalid():
     with pytest.raises(InvalidState):
         transition_probability(np.diag([0.4, 0.4]), np.diag([0.5, 0.5]))
+
+
+# ---------------------------------------------------------------- support_power
+
+def test_support_power_inverse_root_on_rank_deficient_state(rng):
+    m = random_density_matrix(rng, 4, rank=2)
+    w, V = np.linalg.eigh(m)
+    inv_root = support_power(w, V, -0.5)
+    root = support_power(w, V, 0.5)
+    assert np.allclose(root @ root, m, atol=1e-12)
+    # root^{-1} root is the support projector, zero on the kernel.
+    assert np.allclose(inv_root @ root, support_projector(m), atol=1e-8)
+
+
+def test_support_power_drops_eigenvalues_below_relative_cutoff():
+    w = np.array([-1e-17, 1e-12, 0.25, 1.0])
+    out = support_power(w, np.eye(4), 0.5, tol=1e-9)
+    assert np.array_equal(np.diagonal(out), [0.0, 0.0, 0.5, 1.0])
+
+
+# ------------------------------------------------------------- validate_density
+
+def test_validate_density_returns_symmetrised_matrix_and_eigh():
+    m = rho1_matrix(0.5) + 1e-12j * np.eye(4)[:, ::-1]
+    sym, w, V = validate_density(m)
+    assert np.array_equal(sym, sym.conj().T)
+    assert np.allclose((V * w) @ V.conj().T, sym, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "density matrix not Hermitian"),
+        (np.diag([1.2, -0.2]), "density matrix has eigenvalue"),
+        (np.diag([0.4, 0.4]), "density matrix trace must be 1"),
+    ],
+)
+def test_validate_density_messages(matrix, message):
+    with pytest.raises(InvalidState, match=message):
+        validate_density(matrix)
