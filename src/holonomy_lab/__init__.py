@@ -39,6 +39,7 @@ from .linalg import (
 from .state import (
     Amplitude,
     DensityOperator,
+    DensityPath,
     GaugeIsometry,
     apply_gauge,
     parallelity_residual,

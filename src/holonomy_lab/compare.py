@@ -163,11 +163,10 @@ def _eigenstate_transport_residual(spec, family, grid) -> float:
             worst = max(worst, float(np.max(np.abs(np.diagonal(dagger(V) @ gen @ V)))))
         return worst
     ts = grid.times
-    dt = float(ts[1] - ts[0])
     us = [unitary_at(spec, float(t)) for t in ts]
     worst = 0.0
     for k in range(1, len(ts) - 1):
-        gen = dagger(us[k]) @ ((us[k + 1] - us[k - 1]) / (2 * dt))
+        gen = dagger(us[k]) @ ((us[k + 1] - us[k - 1]) / (ts[k + 1] - ts[k - 1]))
         diag = dagger(V) @ gen @ V
         worst = max(worst, float(np.max(np.abs(np.diagonal(diag)))))
     return worst

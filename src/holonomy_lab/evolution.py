@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, GridMiss, NotUnitary, OutOfRange
-from .linalg import DEFAULT_TOL, as_square_matrix, dagger, op_norm, unitary_exp
-from .state import DensityOperator
+from .linalg import DEFAULT_TOL, as_square_matrix, dagger, eigh_exp, op_norm
+from .state import PATH_CHUNK, DensityOperator, DensityPath
 
 __all__ = [
     "SIGMA_X",
@@ -28,6 +28,11 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _T_ATOL = 1e-12
+
+
+def _hermitian_eigh(H: np.ndarray) -> tuple:
+    """Eigen-data of the symmetrised generator, the input ``unitary_exp`` uses."""
+    return np.linalg.eigh((H + dagger(H)) / 2)
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,7 @@ class StaticHamiltonian:
 
     hamiltonian: np.ndarray
     tau: float
+    _eigh: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H = as_square_matrix(self.hamiltonian)
@@ -75,6 +81,7 @@ class StaticHamiltonian:
         if self.tau < 0:
             raise ValueError("tau must be non-negative")
         object.__setattr__(self, "hamiltonian", H)
+        object.__setattr__(self, "_eigh", _hermitian_eigh(H))
 
     @property
     def dim(self) -> int:
@@ -101,12 +108,16 @@ class RotatingFrame:
     omega: float
     tau: float
     subsystem_dims: tuple[int, int] = (2, 2)
+    _eigh: tuple = field(init=False, repr=False, compare=False)
+    _sigma_z_eigh: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.subsystem_dims[0] != 2:
             raise ValueError("the driven subsystem must be a qubit")
         if self.tau < 0:
             raise ValueError("tau must be non-negative")
+        object.__setattr__(self, "_eigh", _hermitian_eigh(self.effective_hamiltonian))
+        object.__setattr__(self, "_sigma_z_eigh", _hermitian_eigh(SIGMA_Z))
 
     @classmethod
     def spin_flipper(cls, u: float = 1.0) -> "RotatingFrame":
@@ -159,26 +170,43 @@ class SampledUnitaries:
 EvolutionSpec = StaticHamiltonian | RotatingFrame | SampledUnitaries
 
 
+def _on_driven_qubit(a: np.ndarray, m: int) -> np.ndarray:
+    """kron(a, identity_m), with np.kron's products but without its overhead."""
+    eye = np.eye(m, dtype=complex)
+    return (a[:, None, :, None] * eye[None, :, None, :]).reshape(2 * m, 2 * m)
+
+
 def _check_time(spec, t: float) -> None:
     if t < -_T_ATOL or t > spec.tau + max(_T_ATOL, 1e-12 * spec.tau):
         raise OutOfRange(f"t = {t!r} outside [0, {spec.tau!r}]")
+
+
+def _sample_index(times: np.ndarray, t: float, atol: float) -> int:
+    """First index k with |times[k] - t| <= atol, found by bisection.
+
+    Hits lie within [t - atol, t + atol], so only the times inside a
+    slightly wider window are tested, with the exact criterion.
+    """
+    lo = int(np.searchsorted(times, t - 2 * atol, side="left"))
+    hi = int(np.searchsorted(times, t + 2 * atol, side="right"))
+    hits = np.flatnonzero(np.abs(times[lo:hi] - t) <= atol)
+    if hits.size == 0:
+        raise GridMiss(f"t = {t!r} is not a sample point; resample instead of interpolating")
+    return lo + int(hits[0])
 
 
 def unitary_at(spec: EvolutionSpec, t: float) -> np.ndarray:
     """Evaluate the path unitary U(t); U(0) is always the identity."""
     _check_time(spec, t)
     if isinstance(spec, StaticHamiltonian):
-        return unitary_exp(spec.hamiltonian, t)
+        return eigh_exp(*spec._eigh, t)
     if isinstance(spec, RotatingFrame):
         # exp(+i t H_eff) exp(+i omega t sigma_z / 2) on the driven qubit.
-        left = unitary_exp(spec.effective_hamiltonian, -t)
-        right = unitary_exp(SIGMA_Z, -spec.omega * t / 2)
-        return np.kron(left @ right, np.eye(spec.subsystem_dims[1], dtype=complex))
+        left = eigh_exp(*spec._eigh, -t)
+        right = eigh_exp(*spec._sigma_z_eigh, -spec.omega * t / 2)
+        return _on_driven_qubit(left @ right, spec.subsystem_dims[1])
     if isinstance(spec, SampledUnitaries):
-        hits = np.flatnonzero(np.isclose(spec.grid.times, t, rtol=0.0, atol=_T_ATOL * max(1.0, spec.tau)))
-        if hits.size == 0:
-            raise GridMiss(f"t = {t!r} is not a sample point; resample instead of interpolating")
-        return spec.unitaries[int(hits[0])]
+        return spec.unitaries[_sample_index(spec.grid.times, t, _T_ATOL * max(1.0, spec.tau))]
     raise TypeError(f"unknown evolution spec {type(spec).__name__}")
 
 
@@ -191,22 +219,26 @@ def rotating_generator(spec: RotatingFrame, t: float) -> np.ndarray:
     if not isinstance(spec, RotatingFrame):
         raise TypeError("rotating_generator needs a RotatingFrame spec")
     heff = spec.effective_hamiltonian
-    R = unitary_exp(heff, -t)  # exp(+i t H_eff)
+    R = eigh_exp(*spec._eigh, -t)  # exp(+i t H_eff)
     h = -heff - (spec.omega / 2) * (R @ SIGMA_Z @ dagger(R))
     h = (h + dagger(h)) / 2
-    return np.kron(h, np.eye(spec.subsystem_dims[1], dtype=complex))
+    return _on_driven_qubit(h, spec.subsystem_dims[1])
 
 
-def density_path(rho0: DensityOperator, spec: EvolutionSpec, grid: TimeGrid) -> list[DensityOperator]:
+def density_path(rho0: DensityOperator, spec: EvolutionSpec, grid: TimeGrid) -> DensityPath:
     """Conjugate rho0 by U(t) on every grid time.
 
-    The spectrum is invariant along the path; each element is validated
-    as a density operator.
+    The spectrum is invariant along the path; every element is validated
+    as a density operator. The path is built ``PATH_CHUNK`` states at a
+    time and keeps only their eigen-data.
     """
     if rho0.dim != spec.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} vs evolution dim {spec.dim}")
-    path = []
-    for t in grid.times:
-        U = unitary_at(spec, float(t))
-        path.append(DensityOperator(U @ rho0.matrix @ dagger(U), tol=rho0.tol))
-    return path
+    times = grid.times
+
+    def chunks():
+        for start in range(0, times.size, PATH_CHUNK):
+            us = np.array([unitary_at(spec, float(t)) for t in times[start:start + PATH_CHUNK]])
+            yield us @ rho0.matrix @ dagger(us)
+
+    return DensityPath.from_matrices(chunks(), tol=rho0.tol)

@@ -21,6 +21,8 @@ __all__ = [
     "dagger",
     "op_norm",
     "hermitian_sqrt",
+    "eigh_root",
+    "eigh_exp",
     "support_power",
     "support_projector",
     "polar",
@@ -45,7 +47,8 @@ def as_square_matrix(M) -> np.ndarray:
 
 
 def dagger(M: np.ndarray) -> np.ndarray:
-    return M.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return M.conj().swapaxes(-1, -2)
 
 
 def op_norm(M: np.ndarray) -> float:
@@ -70,9 +73,22 @@ def hermitian_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     w, V = np.linalg.eigh((M + dagger(M)) / 2)
     if w[0] < -tol:
         raise NotPSD(f"eigenvalue {w[0]:.3e} < -tol = {-tol:.3e}")
-    w = np.clip(w, 0.0, None)
-    R = (V * np.sqrt(w)) @ dagger(V)
+    return eigh_root(np.clip(w, 0.0, None), V)
+
+
+def eigh_root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Hermitian square root from eigen-data with w >= 0; also on stacks.
+
+    ``w`` has shape (..., d) and ``V`` (..., d, d) with eigenvectors as
+    columns.
+    """
+    R = (V * np.sqrt(w)[..., None, :]) @ dagger(V)
     return (R + dagger(R)) / 2
+
+
+def eigh_exp(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t H) from the eigen-data (w, V) of a Hermitian H."""
+    return (V * np.exp(-1j * t * w)) @ dagger(V)
 
 
 def support_power(w: np.ndarray, V: np.ndarray, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -160,28 +176,39 @@ def unitary_exp(H, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     defect = op_norm(H - dagger(H))
     if defect > tol:
         raise NotHermitian(f"generator deviates from Hermitian by {defect:.3e}")
-    w, V = np.linalg.eigh((H + dagger(H)) / 2)
-    return (V * np.exp(-1j * t * w)) @ dagger(V)
+    return eigh_exp(*np.linalg.eigh((H + dagger(H)) / 2), t)
 
 
 def validate_density(m, tol: float = DEFAULT_TOL):
     """Check that m is a density matrix; return it symmetrised with its eigh.
 
-    Raises InvalidState unless m is Hermitian, has no eigenvalue below
-    -tol and has unit trace, each within tolerance.
+    ``m`` is one (d, d) matrix or a (k, d, d) stack; the outputs have the
+    matching shapes. Raises InvalidState unless every matrix is
+    Hermitian, has no eigenvalue below -tol and has unit trace, each
+    within tolerance; for a stack the first failing member is reported.
     """
-    m = as_square_matrix(m)
-    herm = op_norm(m - dagger(m))
-    if herm > tol:
-        raise InvalidState(f"density matrix not Hermitian (defect {herm:.3e})")
-    m = (m + dagger(m)) / 2
-    w, V = np.linalg.eigh(m)
-    if w[0] < -tol:
-        raise InvalidState(f"density matrix has eigenvalue {w[0]:.3e} < -tol")
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > tol * m.shape[0]:
-        raise InvalidState(f"density matrix trace must be 1, got {tr!r}")
-    return m, w, V
+    m = np.asarray(m, dtype=complex)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    stack = m if m.ndim == 3 else m[None]
+    herm = np.linalg.svd(stack - dagger(stack), compute_uv=False)[:, 0]
+    skew = np.flatnonzero(herm > tol)
+    if skew.size:
+        raise InvalidState(f"density matrix not Hermitian (defect {herm[skew[0]]:.3e})")
+    stack = (stack + dagger(stack)) / 2
+    w, V = np.linalg.eigh(stack)
+    negative = np.flatnonzero(w[:, 0] < -tol)
+    if negative.size:
+        raise InvalidState(f"density matrix has eigenvalue {w[negative[0], 0]:.3e} < -tol")
+    tr = np.trace(stack, axis1=-2, axis2=-1).real
+    off = np.flatnonzero(np.abs(tr - 1.0) > tol * stack.shape[-1])
+    if off.size:
+        raise InvalidState(f"density matrix trace must be 1, got {float(tr[off[0]])!r}")
+    if m.ndim == 2:
+        return stack[0], w[0], V[0]
+    return stack, w, V
 
 
 def transition_probability(rho, sigma, tol: float = DEFAULT_TOL) -> float:

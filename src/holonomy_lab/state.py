@@ -9,6 +9,7 @@ measures the failure of that condition.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 
 import numpy as np
@@ -18,6 +19,7 @@ from .linalg import (
     DEFAULT_TOL,
     as_square_matrix,
     dagger,
+    eigh_root,
     hermitian_sqrt,
     is_partial_isometry,
     op_norm,
@@ -25,7 +27,9 @@ from .linalg import (
 )
 
 __all__ = [
+    "PATH_CHUNK",
     "DensityOperator",
+    "DensityPath",
     "Amplitude",
     "GaugeIsometry",
     "standard_purification",
@@ -47,6 +51,17 @@ class DensityOperator:
         self.dim = matrix.shape[0]
         self.tol = tol
         self._eigs = (np.clip(w, 0.0, 1.0), V)
+
+    @classmethod
+    def _from_eigs(cls, w: np.ndarray, V: np.ndarray, tol: float) -> "DensityOperator":
+        """Wrap eigen-data that already passed validation and clipping."""
+        rho = cls.__new__(cls)
+        matrix = (V * w) @ dagger(V)
+        rho.matrix = (matrix + dagger(matrix)) / 2
+        rho.dim = V.shape[0]
+        rho.tol = tol
+        rho._eigs = (w, V)
+        return rho
 
     @classmethod
     def pure(cls, vector, tol: float = DEFAULT_TOL) -> "DensityOperator":
@@ -73,9 +88,7 @@ class DensityOperator:
 
     @cached_property
     def sqrt(self) -> np.ndarray:
-        w, V = self._eigs
-        R = (V * np.sqrt(w)) @ dagger(V)
-        return (R + dagger(R)) / 2
+        return eigh_root(*self._eigs)
 
     def rank(self, tol: float | None = None) -> int:
         tol = self.tol if tol is None else tol
@@ -95,6 +108,72 @@ class DensityOperator:
 
     def __repr__(self):
         return f"DensityOperator(dim={self.dim}, rank={self.rank()})"
+
+
+# Paths are validated, rooted and transported this many states at a time,
+# which bounds the working memory of one path at large dimension.
+PATH_CHUNK = 128
+
+
+class DensityPath:
+    """An ordered sequence of density operators of one dimension.
+
+    Only the validated eigen-data is held: ``w`` with shape (n+1, d)
+    (spectra ascending, clipped to [0, 1]) and ``V`` with shape
+    (n+1, d, d) (eigenvectors as columns). Indexing and iteration yield
+    ``DensityOperator`` values rebuilt from that data. The constructor
+    trusts its arguments; ``from_matrices`` validates raw matrices and
+    ``from_states`` reuses the eigen-data of validated states.
+    """
+
+    def __init__(self, w: np.ndarray, V: np.ndarray, tol: float = DEFAULT_TOL):
+        self.w = w
+        self.V = V
+        self.tol = tol
+
+    @classmethod
+    def from_matrices(cls, chunks, tol: float = DEFAULT_TOL) -> "DensityPath":
+        """Validate (k, d, d) stacks of density matrices, one stack at a time."""
+        ws, Vs = [], []
+        for chunk in chunks:
+            _, w, V = validate_density(chunk, tol)
+            ws.append(np.clip(w, 0.0, 1.0))
+            Vs.append(V)
+        return cls(np.concatenate(ws), np.concatenate(Vs), tol)
+
+    @classmethod
+    def from_states(cls, states) -> "DensityPath":
+        """Stack the eigen-data of a sequence of ``DensityOperator`` values.
+
+        The tolerance of the first state becomes the path's.
+        """
+        dim = states[0].dim
+        if any(rho.dim != dim for rho in states):
+            raise DimensionMismatch("path states differ in dimension")
+        w = np.array([rho.eigenvalues for rho in states])
+        V = np.array([rho.eigenvectors for rho in states])
+        return cls(w, V, states[0].tol)
+
+    @property
+    def dim(self) -> int:
+        return self.V.shape[-1]
+
+    def __len__(self) -> int:
+        return self.w.shape[0]
+
+    def __getitem__(self, k) -> DensityOperator:
+        k = range(len(self))[operator.index(k)]
+        return DensityOperator._from_eigs(self.w[k], self.V[k], self.tol)
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def roots(self, start: int, stop: int) -> np.ndarray:
+        """Square roots of states start..stop-1 as a (stop-start, d, d) stack."""
+        return eigh_root(self.w[start:stop], self.V[start:stop])
+
+    def __repr__(self):
+        return f"DensityPath(states={len(self)}, dim={self.dim})"
 
 
 class Amplitude:
@@ -161,6 +240,6 @@ def parallelity_residual(W: Amplitude, W2: Amplitude) -> float:
     if a.shape != b.shape:
         raise DimensionMismatch(f"amplitude shapes {a.shape} vs {b.shape}")
     M = dagger(a) @ b
-    herm = op_norm(M - dagger(M))
+    herm = np.linalg.svd(M - dagger(M), compute_uv=False)[0]
     w = np.linalg.eigvalsh((M + dagger(M)) / 2)
     return float(max(herm, abs(min(0.0, w[0]))))

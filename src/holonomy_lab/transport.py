@@ -9,11 +9,12 @@ times never enter, so the result depends only on the ordered states.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridTooCoarse, OrthogonalStep
+from .errors import GridTooCoarse, OrthogonalStep
 from .evolution import EvolutionSpec, TimeGrid, unitary_at
 from .linalg import (
     DEFAULT_TOL,
@@ -24,7 +25,7 @@ from .linalg import (
     polar_isometry,
     support_power,
 )
-from .state import Amplitude, DensityOperator, parallelity_residual
+from .state import PATH_CHUNK, Amplitude, DensityOperator, DensityPath, parallelity_residual
 
 __all__ = [
     "TransportResult",
@@ -73,49 +74,62 @@ class AncillaGauge:
 def _transport(path, tol, keep_amplitudes):
     if len(path) < 2:
         raise ValueError("a path needs at least two states")
-    dim = path[0].dim
-    for rho in path:
-        if rho.dim != dim:
-            raise DimensionMismatch("path states differ in dimension")
-    sqrts = [rho.sqrt for rho in path]
-    V = path[0].support.copy()
-    prev_amp = sqrts[0] @ V  # equals rho(0)^{1/2}
+    if not isinstance(path, DensityPath):
+        path = DensityPath.from_states(path)
+    n = len(path) - 1
+    first = path[0]
+    root = first.sqrt
+    V = first.support.copy()
+    prev_amp = root @ V  # equals rho(0)^{1/2}
     amps = [prev_amp] if keep_amplitudes else None
     max_residual = 0.0
-    for k in range(len(path) - 1):
-        M = sqrts[k + 1] @ sqrts[k]
-        U, s, Vh = np.linalg.svd(M)
+    for start in range(0, n, PATH_CHUNK):
+        stop = min(start + PATH_CHUNK, n)
+        # Roots of states start..stop; step k maps state k to state k+1.
+        roots = np.concatenate([root[None], path.roots(start + 1, stop + 1)])
+        U, s, Vh = np.linalg.svd(roots[1:] @ roots[:-1])
         # The singular values of sqrt(rho_{k+1}) sqrt(rho_k) sum to the
         # square root of the transition probability of the step.
-        fid = float(np.sum(s) ** 2)
-        if fid <= tol:
+        fid = np.sum(s, axis=-1) ** 2
+        orthogonal = np.flatnonzero(fid <= tol)
+        if orthogonal.size:
+            k = start + int(orthogonal[0])
             raise OrthogonalStep(
-                f"transition probability {fid:.3e} <= tol between steps {k} and {k + 1}"
+                f"transition probability {float(fid[k - start]):.3e} <= tol between steps {k} and {k + 1}"
             )
-        keep = s > tol * s[0]
-        step = U[:, keep] @ Vh[keep, :]
-        V = step @ V
-        amp = sqrts[k + 1] @ V
-        max_residual = max(max_residual, parallelity_residual(prev_amp, amp))
-        prev_amp = amp
+        # Step isometries: singular directions below tol * s_max are cut.
+        steps = (U * (s > tol * s[:, :1])[:, None, :]) @ Vh
+        frames = np.empty_like(steps)
+        for j, step in enumerate(steps):
+            V = step @ V
+            frames[j] = V
+        chunk_amps = roots[1:] @ frames
+        for amp in chunk_amps:
+            max_residual = max(max_residual, parallelity_residual(prev_amp, amp))
+            prev_amp = amp
         if keep_amplitudes:
-            amps.append(amp)
+            amps.extend(chunk_amps)
+        root = roots[-1]
     result = TransportResult(
         relative_phase_factor=V,
-        initial_amplitude=Amplitude(sqrts[0]),
+        initial_amplitude=Amplitude(first.sqrt),
         final_amplitude=Amplitude(prev_amp),
-        invariant=prev_amp @ dagger(sqrts[0]),
+        invariant=prev_amp @ dagger(first.sqrt),
         max_step_parallelity_residual=max_residual,
-        n_steps=len(path) - 1,
+        n_steps=n,
     )
     return (result, amps) if keep_amplitudes else result
 
 
-def discrete_holonomy(path: list[DensityOperator], tol: float = DEFAULT_TOL) -> TransportResult:
+def discrete_holonomy(
+    path: DensityPath | Sequence[DensityOperator], tol: float = DEFAULT_TOL
+) -> TransportResult:
     """Transport the standard purification of path[0] along the whole path.
 
-    Raises OrthogonalStep when a consecutive pair has transition
-    probability below tol (the holonomy is undefined along such paths).
+    ``path`` is a ``DensityPath`` or a sequence of ``DensityOperator``
+    values, which is converted to one. Raises OrthogonalStep when a
+    consecutive pair has transition probability below tol (the holonomy
+    is undefined along such paths).
     """
     return _transport(path, tol, keep_amplitudes=False)
 

@@ -8,7 +8,7 @@ from holonomy_lab.compare import (
     wrap_angle,
 )
 from holonomy_lab.errors import NotUnitary
-from holonomy_lab.evolution import SIGMA_Y, StaticHamiltonian, TimeGrid
+from holonomy_lab.evolution import SIGMA_Y, SampledUnitaries, StaticHamiltonian, TimeGrid
 from holonomy_lab.linalg import unitary_exp
 from holonomy_lab.scenarios import bell_matrix
 from holonomy_lab.transport import AncillaGauge, transport_equation_residual
@@ -148,6 +148,18 @@ def test_flip_maps_support_to_kernel_keeps_constant_gauge_valid():
     # Both invariants vanish identically here; undefined is a value, not an error.
     assert not rep.interferometric.defined
     assert rep.nu is None
+
+
+def test_eigenstate_residual_on_non_uniform_sampled_grid():
+    # Diagonal H: U^dag dU/dt = -i H, so the residual is max |h_j| = 0.3
+    # at every grid time, also when the samples sit on the warped grid t = s^2.
+    H = np.diag([0.3, -0.2, 0.1, 0.0]).astype(complex)
+    lam = np.array([0.4, 0.3, 0.2, 0.1])
+    fam = PermutedFamily(lam, np.eye(4, dtype=complex), ((0, 1, 2, 3), (1, 0, 2, 3)))
+    for grid in (TimeGrid.uniform(1.0, 200), TimeGrid(np.linspace(0.0, 1.0, 201) ** 2)):
+        spec = SampledUnitaries(tuple(unitary_exp(H, float(t)) for t in grid.times), grid)
+        rep = discrepancy_report(spec, fam, l=2, grid=grid)
+        assert rep.eigenstate_transport_residual == pytest.approx(0.3, abs=1e-4)
 
 
 # ------------------------------------------------------------------- wrap_angle

@@ -81,6 +81,53 @@ def test_sampled_lookup_and_grid_miss():
         unitary_at(spec, 0.25)
 
 
+def _warped_sampled_spec(tau, n):
+    """Exact samples of exp(-i H t) on the non-uniform grid t = tau s^2."""
+    grid = TimeGrid(tau * np.linspace(0.0, 1.0, n + 1) ** 2)
+    H = np.diag([0.3, -0.2, 0.1, 0.0]).astype(complex)
+    return SampledUnitaries(tuple(unitary_exp(H, float(t)) for t in grid.times), grid)
+
+
+def test_sampled_lookup_on_grid_and_at_tau():
+    spec = _warped_sampled_spec(7.3, 50)
+    for k, t in enumerate(spec.grid.times):
+        assert unitary_at(spec, float(t)) is spec.unitaries[k]
+    # tau reached by accumulating equal steps carries round-off; it still hits.
+    for n in (49, 50, 70):
+        summed = sum([spec.tau / n] * n)
+        assert summed != spec.tau
+        assert unitary_at(spec, summed) is spec.unitaries[-1]
+
+
+def test_sampled_lookup_off_grid():
+    spec = _warped_sampled_spec(7.3, 50)
+    times = spec.grid.times
+    atol = 1e-12 * spec.tau
+    for t in (0.5 * (times[3] + times[4]), times[10] + 3 * atol, times[-1] - 3 * atol):
+        with pytest.raises(GridMiss):
+            unitary_at(spec, float(t))
+
+
+def test_sampled_lookup_agrees_with_grid_scan():
+    # The bisection must pick the sample the full np.isclose scan picks.
+    spec = _warped_sampled_spec(1.0, 2000)
+    times = spec.grid.times
+    atol = 1e-12 * max(1.0, spec.tau)
+    rng = np.random.default_rng(5)
+    offsets = np.concatenate([[0.0, 0.5, -0.5, 0.999, -0.999, 1.001, -1.001, 2.5], rng.uniform(-3, 3, 8)])
+    for k in range(0, times.size, 7):
+        for off in offsets:
+            t = float(times[k] + off * atol)
+            if t < -1e-12 or t > spec.tau + 1e-12:
+                continue
+            hits = np.flatnonzero(np.isclose(times, t, rtol=0.0, atol=atol))
+            if hits.size == 0:
+                with pytest.raises(GridMiss):
+                    unitary_at(spec, t)
+            else:
+                assert unitary_at(spec, t) is spec.unitaries[int(hits[0])]
+
+
 def test_sampled_validation():
     grid = TimeGrid.uniform(1.0, 1)
     with pytest.raises(NotUnitary):

@@ -302,5 +302,10 @@ def test_validate_density_returns_symmetrised_matrix_and_eigh():
     ],
 )
 def test_validate_density_messages(matrix, message):
-    with pytest.raises(InvalidState, match=message):
+    with pytest.raises(InvalidState, match=message) as single:
         validate_density(matrix)
+    # In a stack, the one bad member raises the single-matrix message.
+    good = np.eye(2) / 2
+    with pytest.raises(InvalidState) as stacked:
+        validate_density(np.array([good, good, matrix, good]))
+    assert str(stacked.value) == str(single.value)

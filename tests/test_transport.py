@@ -10,14 +10,14 @@ from holonomy_lab.evolution import (
     TimeGrid,
     density_path,
 )
-from holonomy_lab.linalg import hermitian_sqrt, is_partial_isometry, op_norm, unitary_exp
+from holonomy_lab.linalg import dagger, hermitian_sqrt, is_partial_isometry, op_norm, unitary_exp
 from holonomy_lab.scenarios import (
     BellScenario,
     bell_mixture,
     closed_form_B_r1,
     evolution_spec,
 )
-from holonomy_lab.state import DensityOperator
+from holonomy_lab.state import PATH_CHUNK, DensityOperator, DensityPath, parallelity_residual
 from holonomy_lab.transport import (
     AncillaGauge,
     discrete_holonomy,
@@ -26,7 +26,7 @@ from holonomy_lab.transport import (
     transport_equation_residual,
 )
 
-from conftest import random_hermitian, rho1_matrix, usf_matrix
+from conftest import random_density_matrix, random_hermitian, rho1_matrix, usf_matrix
 
 
 # ------------------------------------------------------------ discrete_holonomy
@@ -103,6 +103,66 @@ def test_too_short_path():
     rho = DensityOperator.maximally_mixed(2)
     with pytest.raises(ValueError):
         discrete_holonomy([rho])
+
+
+def _step_by_step_transport(states, tol=1e-9):
+    """Reference transporter: one state, one SVD and one step at a time."""
+    sqrts = [rho.sqrt for rho in states]
+    V = states[0].support.copy()
+    prev = sqrts[0] @ V
+    worst = 0.0
+    for k in range(len(states) - 1):
+        U, s, Vh = np.linalg.svd(sqrts[k + 1] @ sqrts[k])
+        keep = s > tol * s[0]
+        V = U[:, keep] @ Vh[keep, :] @ V
+        amp = sqrts[k + 1] @ V
+        worst = max(worst, parallelity_residual(prev, amp))
+        prev = amp
+    return V, prev @ dagger(sqrts[0]), worst
+
+
+def test_chunked_transport_matches_step_by_step_reference():
+    rng = np.random.default_rng(17)
+    rho = DensityOperator(random_density_matrix(rng, 5, rank=3))
+    H = random_hermitian(rng, 5)
+    grid = TimeGrid.uniform(1.1, 2 * PATH_CHUNK + 3)
+    states = [DensityOperator(unitary_exp(H, t) @ rho.matrix @ unitary_exp(H, t).conj().T) for t in grid.times]
+    V, invariant, worst = _step_by_step_transport(states)
+    res = discrete_holonomy(density_path(rho, StaticHamiltonian(H, tau=1.1), grid))
+    assert res.n_steps == 2 * PATH_CHUNK + 3
+    assert op_norm(res.relative_phase_factor - V) < 1e-12
+    assert op_norm(res.invariant - invariant) < 1e-12
+    assert abs(res.max_step_parallelity_residual - worst) < 1e-12
+
+
+def test_orthogonal_step_in_a_later_chunk_is_named():
+    k = PATH_CHUNK + 5
+    a = DensityOperator.pure(np.array([1.0, 0.0]))
+    b = DensityOperator.pure(np.array([0.0, 1.0]))
+    with pytest.raises(OrthogonalStep, match=f"between steps {k} and {k + 1}$"):
+        discrete_holonomy([a] * (k + 1) + [b] * PATH_CHUNK)
+
+
+def test_state_list_and_density_path_transport_identically():
+    s = BellScenario(epsilon=0.5, variant="rotating", u=1.0)
+    path = density_path(bell_mixture(0.5), evolution_spec(s), TimeGrid.uniform(s.tau, PATH_CHUNK + 10))
+    assert isinstance(path, DensityPath)
+    from_list = discrete_holonomy(list(path))
+    from_path = discrete_holonomy(path)
+    for field in ("relative_phase_factor", "invariant"):
+        assert np.array_equal(getattr(from_list, field), getattr(from_path, field))
+    assert from_list.max_step_parallelity_residual == from_path.max_step_parallelity_residual
+
+
+def test_density_path_indexing():
+    rho = DensityOperator(rho1_matrix(0.5))
+    path = density_path(rho, StaticHamiltonian(np.kron(SIGMA_Y, np.eye(2)), tau=1.0), TimeGrid.uniform(1.0, 5))
+    assert len(path) == 6 and path.dim == 4
+    assert np.allclose(path[0].matrix, rho.matrix, atol=1e-15)
+    assert np.array_equal(path[-1].eigenvectors, path[5].eigenvectors)
+    assert len(list(path)) == 6
+    with pytest.raises(IndexError):
+        path[6]
 
 
 def test_transporter_against_ode_integration(rng):
