@@ -151,11 +151,13 @@ class SampledUnitaries:
         eye = np.eye(dim)
         if op_norm(us[0] - eye) > self.tol * dim:
             raise NotUnitary("the first sampled unitary must be the identity")
-        for k, U in enumerate(us):
-            if U.shape[0] != dim:
-                raise DimensionMismatch("sampled unitaries differ in dimension")
-            if op_norm(dagger(U) @ U - eye) > self.tol * dim:
-                raise NotUnitary(f"sample {k} is not unitary within tolerance")
+        if any(U.shape[0] != dim for U in us):
+            raise DimensionMismatch("sampled unitaries differ in dimension")
+        stack = np.stack(us)
+        defects = np.linalg.svd(dagger(stack) @ stack - eye, compute_uv=False)[:, 0]
+        bad = np.flatnonzero(defects > self.tol * dim)
+        if bad.size:
+            raise NotUnitary(f"sample {bad[0]} is not unitary within tolerance")
         object.__setattr__(self, "unitaries", us)
 
     @property

@@ -24,6 +24,9 @@ __all__ = ["ScenarioConfig", "load_scenario", "parse_scenario", "PRESETS"]
 
 PRESETS = ("bell-static", "bell-rotating")
 
+# PyYAML's safe loader, with libyaml's C parser where PyYAML was built with it.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass
 class ScenarioConfig:
@@ -54,6 +57,19 @@ def _as_number(value, fieldname: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(fieldname, f"expected a number, got {value!r}")
     return float(value)
+
+
+def _as_int(value, fieldname: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    try:
+        # Strings count as for _as_number (YAML 1.1 reads 1e3 as a string).
+        number = float(value) if isinstance(value, (str, float)) else None
+    except ValueError:
+        number = None
+    if number is None or not number.is_integer():
+        _fail(fieldname, f"expected an integer, got {value!r}")
+    return int(number)
 
 
 def _as_complex(entry, fieldname: str) -> complex:
@@ -93,7 +109,7 @@ def _parse_state(entry, fieldname: str, tol: float) -> DensityOperator:
             if preset == "bell-mixture":
                 return bell_mixture(_as_number(entry.get("epsilon", 0.0), f"{fieldname}.epsilon"))
             if preset == "maximally-mixed":
-                dim = int(_as_number(entry.get("dimension", 2), f"{fieldname}.dimension"))
+                dim = _as_int(entry.get("dimension", 2), f"{fieldname}.dimension")
                 return DensityOperator.maximally_mixed(dim)
             _fail(f"{fieldname}.preset", f"unknown state preset {preset!r}")
         if "matrix" in entry:
@@ -186,12 +202,12 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
         preset = data["scenario"]
         if preset not in PRESETS:
             _fail("scenario", f"unknown preset {preset!r}; expected one of {PRESETS}")
+        overrides = {
+            attr: convert(data[key], key)
+            for key, attr, convert in (("epsilon", "epsilon", _as_number), ("u", "u", _as_number), ("steps", "n_steps", _as_int))
+            if key in data
+        }
         try:
-            overrides = {
-                attr: convert(_as_number(data[key], key))
-                for key, attr, convert in (("epsilon", "epsilon", float), ("u", "u", float), ("steps", "n_steps", int))
-                if key in data
-            }
             variant = "static" if preset == "bell-static" else "rotating"
             cfg.preset = replace(BellScenario(epsilon=0.5, variant=variant), **overrides)
         except Exception as exc:
@@ -206,7 +222,7 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
     if len(dims) != 1:
         _fail("states", f"states differ in dimension: {sorted(dims)}")
     dim = dims.pop()
-    if "dimension" in data and int(data["dimension"]) != dim:
+    if "dimension" in data and _as_int(data["dimension"], "dimension") != dim:
         _fail("dimension", f"declared {data['dimension']} but states have dimension {dim}")
     cfg.dimension = dim
 
@@ -219,7 +235,7 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
     grid_entry = data.get("grid", {})
     if not isinstance(grid_entry, dict):
         _fail("grid", "expected a mapping")
-    n_steps = int(_as_number(grid_entry.get("n_steps", 1000), "grid.n_steps"))
+    n_steps = _as_int(grid_entry.get("n_steps", 1000), "grid.n_steps")
     tau = _as_number(grid_entry.get("tau", cfg.spec.tau), "grid.tau")
     if tau > cfg.spec.tau + 1e-12:
         _fail("grid.tau", f"grid end {tau} exceeds evolution duration {cfg.spec.tau}")
@@ -237,12 +253,11 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
             seq = [seq]
         if not isinstance(seq, list) or not seq:
             _fail(f"invariants[{i}]", "expected a non-empty index sequence")
-        idx = []
-        for j in seq:
-            if not isinstance(j, int) or j < 1 or j > len(cfg.states):
+        idx = tuple(_as_int(j, f"invariants[{i}]") for j in seq)
+        for j in idx:
+            if j < 1 or j > len(cfg.states):
                 _fail(f"invariants[{i}]", f"index {j!r} out of range 1..{len(cfg.states)}")
-            idx.append(j)
-        invariants.append(tuple(idx))
+        invariants.append(idx)
     cfg.invariants = invariants
 
     obs_entry = data.get("observables", {})
@@ -264,7 +279,7 @@ def load_scenario(path: str, base_tol: float = DEFAULT_TOL) -> ScenarioConfig:
     except OSError as exc:
         raise ScenarioFormatError(f"file: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}" if mark is not None else "unknown line"

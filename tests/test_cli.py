@@ -62,6 +62,33 @@ def test_run_rejects_invalid_state_file(tmp_path, capsys):
     assert "trace" in err
 
 
+@pytest.mark.parametrize(
+    "field, body",
+    [
+        ("dimension", "dimension: two\n"),
+        ("grid.n_steps", "grid:\n  n_steps: 10.7\n"),
+    ],
+    ids=["dimension", "grid.n_steps"],
+)
+def test_run_rejects_non_integer_fields(tmp_path, capsys, field, body):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(
+        "format_version: 1\n"
+        "states:\n"
+        "  - preset: maximally-mixed\n"
+        "    dimension: 2\n"
+        "evolution:\n"
+        "  variant: static\n"
+        "  hamiltonian: [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]\n"
+        "  tau: 1.0\n" + body,
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "run", "--scenario", str(bad))
+    assert code == 1
+    assert out == ""
+    assert f"error: {field}: expected an integer" in err
+
+
 def test_run_generic_scenario_file(tmp_path, capsys):
     body = (
         "format_version: 1\n"

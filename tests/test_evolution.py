@@ -136,6 +136,49 @@ def test_sampled_validation():
         SampledUnitaries((np.eye(2), 2.0 * np.eye(2)), grid)
 
 
+def _rotation_samples(n):
+    grid = TimeGrid.uniform(1.0, n)
+    return [unitary_exp(SIGMA_Y, float(t)) for t in grid.times], grid
+
+
+def test_sampled_validation_names_the_first_sample():
+    us, grid = _rotation_samples(2000)
+    us[0] = unitary_exp(SIGMA_X, 1e-6)
+    with pytest.raises(NotUnitary, match=r"^the first sampled unitary must be the identity$"):
+        SampledUnitaries(tuple(us), grid)
+
+
+def test_sampled_validation_names_the_failing_sample():
+    us, grid = _rotation_samples(2000)
+    exact = us[1500]
+    us[1500] = exact @ np.diag([1.0, 1.001])  # one singular value off
+    us[1700] = 2.0 * us[1700]
+    with pytest.raises(NotUnitary, match=r"^sample 1500 is not unitary within tolerance$"):
+        SampledUnitaries(tuple(us), grid)
+    # Off by less than the tolerance: the next bad sample is named instead.
+    us[1500] = (1.0 + 1e-10) * exact
+    with pytest.raises(NotUnitary, match=r"^sample 1700 "):
+        SampledUnitaries(tuple(us), grid)
+
+
+def test_sampled_validation_threshold_is_tol_times_dim():
+    # ||U^dag U - I|| is about 2 delta here; the bound is tol * dim = 2e-9.
+    us, grid = _rotation_samples(4)
+    exact = us[2]
+    us[2] = exact @ np.diag([1.0, 1.0 + 0.75e-9])
+    SampledUnitaries(tuple(us), grid, tol=1e-9)
+    us[2] = exact @ np.diag([1.0, 1.0 + 1.5e-9])
+    with pytest.raises(NotUnitary, match=r"^sample 2 "):
+        SampledUnitaries(tuple(us), grid, tol=1e-9)
+
+
+def test_sampled_validation_dimension_mismatch():
+    us, grid = _rotation_samples(4)
+    us[3] = np.eye(3)
+    with pytest.raises(DimensionMismatch, match=r"^sampled unitaries differ in dimension$"):
+        SampledUnitaries(tuple(us), grid)
+
+
 def test_rotating_generator_matches_finite_difference():
     # i dU/dt U^dag by central differences should reproduce the generator.
     spec = RotatingFrame.spin_flipper(1.3)

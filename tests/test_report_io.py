@@ -1,11 +1,20 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import yaml
 
+from holonomy_lab import scenario_io
 from holonomy_lab.errors import ScenarioFormatError
 from holonomy_lab.report import encode_complex, fmt, to_csv_rows, to_json, to_text
 from holonomy_lab.scenario_io import load_scenario, parse_scenario
+from holonomy_lab.state import DensityOperator
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # ----------------------------------------------------------------------- report
@@ -188,3 +197,146 @@ def test_sampled_evolution_config():
     cfg = parse_scenario(data)
     assert cfg.spec.dim == 2
     assert cfg.grid.n_steps == 1
+
+
+# ------------------------------------------------------- integer fields
+
+_STATIC_2 = {"variant": "static", "hamiltonian": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], "tau": 1.0}
+
+
+def _generic(**overrides):
+    data = {
+        "format_version": 1,
+        "states": [{"preset": "maximally-mixed", "dimension": 2}],
+        "evolution": _STATIC_2,
+    }
+    data.update(overrides)
+    return data
+
+
+def test_top_level_dimension_must_be_an_integer():
+    with pytest.raises(ScenarioFormatError, match=r"^dimension: expected an integer"):
+        parse_scenario(_generic(dimension="two"))
+    with pytest.raises(ScenarioFormatError, match=r"^dimension: expected an integer"):
+        parse_scenario(_generic(dimension=2.5))
+    assert parse_scenario(_generic(dimension=2.0)).dimension == 2
+
+
+@pytest.mark.parametrize("value", [10.7, "10.7", True, "ten", float("inf")], ids=repr)
+def test_grid_steps_reject_non_integers(value):
+    with pytest.raises(ScenarioFormatError, match=r"^grid\.n_steps: expected an integer"):
+        parse_scenario(_generic(grid={"n_steps": value}))
+
+
+@pytest.mark.parametrize("value", [10.7, True])
+def test_preset_steps_reject_non_integers(value):
+    with pytest.raises(ScenarioFormatError, match=r"steps: expected an integer"):
+        parse_scenario({"format_version": 1, "scenario": "bell-static", "steps": value})
+
+
+@pytest.mark.parametrize("value", [2.5, False])
+def test_state_preset_dimension_rejects_non_integers(value):
+    states = [{"preset": "maximally-mixed", "dimension": value}]
+    with pytest.raises(ScenarioFormatError, match=r"^states\[0\]\.dimension: expected an integer"):
+        parse_scenario(_generic(states=states))
+
+
+@pytest.mark.parametrize("seq", [[True], True, [1, False]], ids=repr)
+def test_invariant_indices_reject_non_integers(seq):
+    with pytest.raises(ScenarioFormatError, match=r"^invariants\[0\]: expected an integer"):
+        parse_scenario(_generic(invariants=[seq]))
+
+
+def test_integer_fields_accept_yaml_scientific_strings(tmp_path):
+    # YAML 1.1 reads bare 1e3 as a string; it still counts as 1000.
+    path = _preset_file(tmp_path, "format_version: 1\nscenario: bell-static\nsteps: 1e3\n")
+    assert load_scenario(path).preset.n_steps == 1000
+    cfg = parse_scenario(_generic(dimension="2", grid={"n_steps": "1e3"}))
+    assert (cfg.dimension, cfg.grid.n_steps) == (2, 1000)
+    assert isinstance(cfg.grid.n_steps, int)
+
+
+# ----------------------------------------------------------- YAML loader
+
+def _config_tree(value):
+    """A ScenarioConfig as nested plain data, so two loads compare with ==."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.shape, value.tolist())
+    if isinstance(value, DensityOperator):
+        return _config_tree(value.matrix)
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, {f.name: _config_tree(getattr(value, f.name)) for f in dataclasses.fields(value)})
+    if isinstance(value, dict):
+        return {k: _config_tree(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_config_tree(v) for v in value]
+    return value
+
+
+def _small_sampled_file(tmp_path):
+    """A sampled scenario whose entries include bare 1e-05-style numbers."""
+    lines = ["format_version: 1", "states:", "  - preset: maximally-mixed", "    dimension: 2",
+             "  - vector: [[1, 0], [0, 0]]", "evolution:", "  variant: sampled", "  tau: 3e-05",
+             "  unitaries:"]
+    for k in range(4):
+        s = k * 1e-05
+        c = float(np.sqrt(1.0 - s * s))
+        lines.append(f"    - [[[{c!r}, 0], [{-s!r}, 0]], [[{s!r}, 0], [{c!r}, 0]]]")
+    lines += ["grid:", "  n_steps: 3", "invariants: [[1], [2], [1, 2]]", "tolerances:", "  phase: 1e-9"]
+    path = tmp_path / "sampled.yaml"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "path", [os.path.join(REPO, "demos", "example_scenario.yaml"), os.path.join(REPO, "tests", "golden", "preset_override.yaml")],
+    ids=["example", "preset"],
+)
+def test_loaders_give_equal_configs(path, monkeypatch):
+    fast = load_scenario(path)
+    monkeypatch.setattr(scenario_io, "_LOADER", yaml.SafeLoader)
+    assert _config_tree(fast) == _config_tree(load_scenario(path))
+
+
+def test_loaders_give_equal_sampled_configs(tmp_path, monkeypatch):
+    path = _small_sampled_file(tmp_path)
+    with open(path, encoding="utf-8") as handle:
+        assert "1e-05" in handle.read()
+    fast = load_scenario(path)
+    assert fast.spec.unitaries[1][1, 0] == 1e-05
+    assert fast.tolerances["phase"] == 1e-9
+    monkeypatch.setattr(scenario_io, "_LOADER", yaml.SafeLoader)
+    assert _config_tree(fast) == _config_tree(load_scenario(path))
+
+
+def test_loader_is_libyaml_when_available():
+    expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert scenario_io._LOADER is expected
+
+
+def test_python_tags_are_rejected(tmp_path):
+    path = _preset_file(tmp_path, "format_version: 1\nscenario: !!python/object/apply:os.system ['true']\n")
+    with pytest.raises(ScenarioFormatError, match=r"^line 2: "):
+        load_scenario(path)
+
+
+def test_syntax_error_names_its_line(tmp_path):
+    path = _preset_file(tmp_path, "format_version: 1\nscenario: bell-static\nepsilon: [0.5\nsteps: 10\n")
+    with pytest.raises(ScenarioFormatError, match=r"^line 4: "):
+        load_scenario(path)
+
+
+def test_falls_back_to_python_loader_without_libyaml():
+    script = (
+        "import yaml\n"
+        "if hasattr(yaml, 'CSafeLoader'):\n"
+        "    del yaml.CSafeLoader\n"
+        "from holonomy_lab import scenario_io\n"
+        "assert scenario_io._LOADER is yaml.SafeLoader\n"
+        "cfg = scenario_io.load_scenario('demos/example_scenario.yaml')\n"
+        "print(cfg.grid.n_steps, cfg.tolerances['phase'], len(cfg.states))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    done = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1000", "1e-09", "2"]
