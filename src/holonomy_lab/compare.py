@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotUnitary
-from .linalg import DEFAULT_TOL, as_square_matrix, dagger, op_norm, support_power
+from .linalg import DEFAULT_TOL, as_square_matrix, dagger, first_norm_above, support_power
 from .evolution import EvolutionSpec, TimeGrid, unitary_at
 from .offdiag import nu_functional, off_diagonal_invariant, principal_angle
 from .state import Amplitude, DensityOperator
@@ -58,7 +58,7 @@ class PermutedFamily:
         if V.ndim != 2 or V.shape[1] != lam.size:
             raise ValueError("need one eigenvector column per eigenvalue")
         gram = dagger(V) @ V
-        if op_norm(gram - np.eye(lam.size)) > 1e-9:
+        if first_norm_above(gram - np.eye(lam.size), 1e-9) is not None:
             raise ValueError("eigenvectors must be orthonormal")
         if lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-9:
             raise ValueError("eigenvalues must be a probability vector")
@@ -110,7 +110,7 @@ def interferometric_offdiag_phase(
     for using a unitary that parallel-transports each common eigenstate.
     """
     U = as_square_matrix(U_final)
-    if op_norm(dagger(U) @ U - np.eye(U.shape[0])) > max(tol, 1e-12) * U.shape[0]:
+    if first_norm_above(dagger(U) @ U - np.eye(U.shape[0]), max(tol, 1e-12) * U.shape[0]) is not None:
         raise NotUnitary("evolution operator is not unitary within tolerance")
     if l < 1 or l > len(family):
         raise ValueError(f"order l = {l} needs {l} family members, have {len(family)}")

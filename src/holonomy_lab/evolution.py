@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, GridMiss, NotUnitary, OutOfRange
-from .linalg import DEFAULT_TOL, as_square_matrix, dagger, eigh_exp, op_norm
+from .linalg import DEFAULT_TOL, as_square_matrix, dagger, eigh_exp, first_norm_above
 from .state import PATH_CHUNK, DensityOperator, DensityPath
 
 __all__ = [
@@ -76,7 +76,7 @@ class StaticHamiltonian:
 
     def __post_init__(self):
         H = as_square_matrix(self.hamiltonian)
-        if op_norm(H - dagger(H)) > 1e-9:
+        if first_norm_above(H - dagger(H), 1e-9) is not None:
             raise ValueError("static Hamiltonian must be Hermitian")
         if self.tau < 0:
             raise ValueError("tau must be non-negative")
@@ -149,14 +149,13 @@ class SampledUnitaries:
             raise ValueError("one unitary per grid time is required")
         dim = us[0].shape[0]
         eye = np.eye(dim)
-        if op_norm(us[0] - eye) > self.tol * dim:
+        if first_norm_above(us[0] - eye, self.tol * dim) is not None:
             raise NotUnitary("the first sampled unitary must be the identity")
         if any(U.shape[0] != dim for U in us):
             raise DimensionMismatch("sampled unitaries differ in dimension")
         stack = np.stack(us)
-        defects = np.linalg.svd(dagger(stack) @ stack - eye, compute_uv=False)[:, 0]
-        bad = np.flatnonzero(defects > self.tol * dim)
-        if bad.size:
+        bad = first_norm_above(dagger(stack) @ stack - eye, self.tol * dim)
+        if bad is not None:
             raise NotUnitary(f"sample {bad[0]} is not unitary within tolerance")
         object.__setattr__(self, "unitaries", us)
 
@@ -167,6 +166,10 @@ class SampledUnitaries:
     @property
     def dim(self) -> int:
         return self.unitaries[0].shape[0]
+
+    def sample_index(self, t: float) -> int:
+        """Index of the sample taken at time t; GridMiss when there is none."""
+        return _sample_index(self.grid.times, t, _T_ATOL * max(1.0, self.tau))
 
 
 EvolutionSpec = StaticHamiltonian | RotatingFrame | SampledUnitaries
@@ -208,7 +211,7 @@ def unitary_at(spec: EvolutionSpec, t: float) -> np.ndarray:
         right = eigh_exp(*spec._sigma_z_eigh, -spec.omega * t / 2)
         return _on_driven_qubit(left @ right, spec.subsystem_dims[1])
     if isinstance(spec, SampledUnitaries):
-        return spec.unitaries[_sample_index(spec.grid.times, t, _T_ATOL * max(1.0, spec.tau))]
+        return spec.unitaries[spec.sample_index(t)]
     raise TypeError(f"unknown evolution spec {type(spec).__name__}")
 
 
@@ -232,7 +235,8 @@ def density_path(rho0: DensityOperator, spec: EvolutionSpec, grid: TimeGrid) -> 
 
     The spectrum is invariant along the path; every element is validated
     as a density operator. The path is built ``PATH_CHUNK`` states at a
-    time and keeps only their eigen-data.
+    time and keeps only their eigen-data; at large dimension each chunk is
+    validated in a worker thread while the next one is conjugated.
     """
     if rho0.dim != spec.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} vs evolution dim {spec.dim}")
@@ -243,4 +247,4 @@ def density_path(rho0: DensityOperator, spec: EvolutionSpec, grid: TimeGrid) -> 
             us = np.array([unitary_at(spec, float(t)) for t in times[start:start + PATH_CHUNK]])
             yield us @ rho0.matrix @ dagger(us)
 
-    return DensityPath.from_matrices(chunks(), tol=rho0.tol)
+    return DensityPath.from_matrices(chunks(), spec.dim, tol=rho0.tol)

@@ -20,6 +20,7 @@ __all__ = [
     "as_square_matrix",
     "dagger",
     "op_norm",
+    "first_norm_above",
     "hermitian_sqrt",
     "eigh_root",
     "eigh_exp",
@@ -59,6 +60,27 @@ def op_norm(M: np.ndarray) -> float:
     return float(np.linalg.norm(M, 2))
 
 
+def first_norm_above(M: np.ndarray, bound: float):
+    """First member of a stack whose spectral norm exceeds ``bound``.
+
+    ``M`` is one (d, d) matrix or a (k, d, d) stack. Returns ``(index,
+    norm)`` for that member, or None when every norm is within the bound.
+    The Frobenius norm bounds the spectral norm from above, so only the
+    members whose Frobenius norm exceeds the bound (with a relative slack
+    of 1e-8, far above the round-off of either norm) get an SVD; the
+    decision, the member and the norm are the SVD's.
+    """
+    stack = M if M.ndim == 3 else M[None]
+    candidates = np.flatnonzero(np.linalg.norm(stack, axis=(-2, -1)) * (1 + 1e-8) > bound)
+    if candidates.size == 0:
+        return None
+    norms = np.linalg.svd(stack[candidates], compute_uv=False)[:, 0]
+    over = np.flatnonzero(norms > bound)
+    if over.size == 0:
+        return None
+    return int(candidates[over[0]]), float(norms[over[0]])
+
+
 def hermitian_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition.
 
@@ -67,9 +89,9 @@ def hermitian_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     commutes with M, and satisfies R @ R = M up to round-off.
     """
     M = as_square_matrix(M)
-    herm_defect = op_norm(M - dagger(M))
-    if herm_defect > tol:
-        raise NotHermitian(f"||M - M^dag|| = {herm_defect:.3e} > tol = {tol:.3e}")
+    skew = first_norm_above(M - dagger(M), tol)
+    if skew is not None:
+        raise NotHermitian(f"||M - M^dag|| = {skew[1]:.3e} > tol = {tol:.3e}")
     w, V = np.linalg.eigh((M + dagger(M)) / 2)
     if w[0] < -tol:
         raise NotPSD(f"eigenvalue {w[0]:.3e} < -tol = {-tol:.3e}")
@@ -164,7 +186,7 @@ def polar_isometry(X, tol: float = DEFAULT_TOL) -> np.ndarray:
 def is_partial_isometry(S, tol: float = DEFAULT_TOL) -> bool:
     """True iff S S^dag S = S within tolerance (S^dag S is a projector)."""
     S = as_square_matrix(S)
-    return op_norm(S @ dagger(S) @ S - S) <= tol
+    return first_norm_above(S @ dagger(S) @ S - S, tol) is None
 
 
 def unitary_exp(H, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -173,9 +195,9 @@ def unitary_exp(H, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     Exact for this problem class; no series or scaling-squaring.
     """
     H = as_square_matrix(H)
-    defect = op_norm(H - dagger(H))
-    if defect > tol:
-        raise NotHermitian(f"generator deviates from Hermitian by {defect:.3e}")
+    skew = first_norm_above(H - dagger(H), tol)
+    if skew is not None:
+        raise NotHermitian(f"generator deviates from Hermitian by {skew[1]:.3e}")
     return eigh_exp(*np.linalg.eigh((H + dagger(H)) / 2), t)
 
 
@@ -193,10 +215,9 @@ def validate_density(m, tol: float = DEFAULT_TOL):
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     stack = m if m.ndim == 3 else m[None]
-    herm = np.linalg.svd(stack - dagger(stack), compute_uv=False)[:, 0]
-    skew = np.flatnonzero(herm > tol)
-    if skew.size:
-        raise InvalidState(f"density matrix not Hermitian (defect {herm[skew[0]]:.3e})")
+    skew = first_norm_above(stack - dagger(stack), tol)
+    if skew is not None:
+        raise InvalidState(f"density matrix not Hermitian (defect {skew[1]:.3e})")
     stack = (stack + dagger(stack)) / 2
     w, V = np.linalg.eigh(stack)
     negative = np.flatnonzero(w[:, 0] < -tol)

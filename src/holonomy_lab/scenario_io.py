@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import yaml
 
-from .errors import InvalidState, ScenarioFormatError
+from .errors import GridMiss, InvalidState, ScenarioFormatError
 from .evolution import RotatingFrame, SampledUnitaries, StaticHamiltonian, TimeGrid
 from .linalg import DEFAULT_TOL
 from .scenarios import BellScenario, bell_mixture
@@ -80,6 +80,12 @@ def _as_complex(entry, fieldname: str) -> complex:
     _fail(fieldname, f"expected a real number or [re, im] pair, got {entry!r}")
 
 
+def _as_list(value, fieldname: str) -> list:
+    if not isinstance(value, list):
+        _fail(fieldname, "expected a list")
+    return value
+
+
 def _as_matrix(value, fieldname: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         _fail(fieldname, "expected a non-empty list of rows")
@@ -119,11 +125,12 @@ def _parse_state(entry, fieldname: str, tol: float) -> DensityOperator:
         if "eigenvalues" in entry:
             lam = [
                 _as_number(v, f"{fieldname}.eigenvalues[{i}]")
-                for i, v in enumerate(entry["eigenvalues"])
+                for i, v in enumerate(_as_list(entry["eigenvalues"], f"{fieldname}.eigenvalues"))
             ]
             vecs = entry.get("eigenvectors")
             if vecs is None:
                 _fail(f"{fieldname}.eigenvectors", "required alongside eigenvalues")
+            vecs = _as_list(vecs, f"{fieldname}.eigenvectors")
             cols = [_as_vector(v, f"{fieldname}.eigenvectors[{i}]") for i, v in enumerate(vecs)]
             V = np.column_stack(cols)
             gram = V.conj().T @ V
@@ -163,12 +170,35 @@ def _parse_evolution(entry, fieldname: str, dim: int | None):
             tau = _as_number(entry.get("tau"), f"{fieldname}.tau")
             grid = TimeGrid.uniform(tau, len(us) - 1)
         else:
+            times = _as_list(times, f"{fieldname}.times")
             grid = TimeGrid(np.array([_as_number(t, f"{fieldname}.times") for t in times]))
         try:
             return SampledUnitaries(tuple(us), grid)
         except Exception as exc:
             _fail(fieldname, str(exc))
     _fail(f"{fieldname}.variant", f"expected static, rotating or sampled, got {variant!r}")
+
+
+def _parse_grid(data, spec) -> TimeGrid:
+    """The transport grid; a sampled evolution defaults to its sample times."""
+    sampled = isinstance(spec, SampledUnitaries)
+    if sampled and "grid" not in data:
+        return spec.grid
+    grid_entry = data.get("grid", {})
+    if not isinstance(grid_entry, dict):
+        _fail("grid", "expected a mapping")
+    n_steps = _as_int(grid_entry.get("n_steps", 1000), "grid.n_steps")
+    tau = _as_number(grid_entry.get("tau", spec.tau), "grid.tau")
+    if tau > spec.tau + 1e-12:
+        _fail("grid.tau", f"grid end {tau} exceeds evolution duration {spec.tau}")
+    try:
+        grid = TimeGrid.uniform(tau, n_steps)
+        if sampled:
+            for t in grid.times:
+                spec.sample_index(float(t))
+    except (ValueError, GridMiss) as exc:
+        _fail("grid", str(exc))
+    return grid
 
 
 def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL) -> ScenarioConfig:
@@ -232,17 +262,7 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
     if cfg.spec.dim != dim:
         _fail("evolution", f"evolution dimension {cfg.spec.dim} vs states {dim}")
 
-    grid_entry = data.get("grid", {})
-    if not isinstance(grid_entry, dict):
-        _fail("grid", "expected a mapping")
-    n_steps = _as_int(grid_entry.get("n_steps", 1000), "grid.n_steps")
-    tau = _as_number(grid_entry.get("tau", cfg.spec.tau), "grid.tau")
-    if tau > cfg.spec.tau + 1e-12:
-        _fail("grid.tau", f"grid end {tau} exceeds evolution duration {cfg.spec.tau}")
-    try:
-        cfg.grid = TimeGrid.uniform(tau, n_steps)
-    except ValueError as exc:
-        _fail("grid", str(exc))
+    cfg.grid = _parse_grid(data, cfg.spec)
 
     inv_entry = data.get("invariants", [[1]])
     if not isinstance(inv_entry, list) or not inv_entry:

@@ -10,6 +10,7 @@ measures the failure of that condition.
 from __future__ import annotations
 
 import operator
+from contextlib import contextmanager
 from functools import cached_property
 
 import numpy as np
@@ -20,14 +21,16 @@ from .linalg import (
     as_square_matrix,
     dagger,
     eigh_root,
+    first_norm_above,
     hermitian_sqrt,
     is_partial_isometry,
-    op_norm,
     validate_density,
 )
 
 __all__ = [
     "PATH_CHUNK",
+    "PIPELINE_MIN_DIM",
+    "chunk_pipeline",
     "DensityOperator",
     "DensityPath",
     "Amplitude",
@@ -114,6 +117,54 @@ class DensityOperator:
 # which bounds the working memory of one path at large dimension.
 PATH_CHUNK = 128
 
+# Paths of this dimension and above run the LAPACK half of each chunk in one
+# worker thread, one chunk ahead of the caller (see ``chunk_pipeline``).
+# Below it, small numpy calls on both threads contend for the interpreter
+# lock and the pipeline is slower than a plain loop.
+PIPELINE_MIN_DIM = 24
+
+
+def _one_ahead(pool, work, items):
+    """Yield work(item) in order while the pool computes the next item's."""
+    items = iter(items)
+    pending = None
+    while True:
+        try:
+            item = next(items)
+        except StopIteration:
+            break
+        except Exception:
+            # In serial order the previous chunk is finished before this item exists.
+            if pending is not None:
+                yield pending.result()
+            raise
+        future = pool.submit(work, item)
+        if pending is not None:
+            yield pending.result()
+        pending = future
+    if pending is not None:
+        yield pending.result()
+
+
+@contextmanager
+def chunk_pipeline(work, items, dim: int):
+    """Context giving an iterator over work(item) for each item, in order.
+
+    For ``dim >= PIPELINE_MIN_DIM`` one worker thread runs ``work`` one
+    item ahead of the caller, so the worker's LAPACK calls overlap the
+    caller's Python work on the previous result. ``work`` must only read
+    shared data; it is called in item order, so it may carry state from
+    one item to the next. Errors come out in the order of a plain loop,
+    and the worker has stopped when the context exits.
+    """
+    if dim < PIPELINE_MIN_DIM:
+        yield map(work, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield _one_ahead(pool, work, items)
+
 
 class DensityPath:
     """An ordered sequence of density operators of one dimension.
@@ -132,13 +183,19 @@ class DensityPath:
         self.tol = tol
 
     @classmethod
-    def from_matrices(cls, chunks, tol: float = DEFAULT_TOL) -> "DensityPath":
-        """Validate (k, d, d) stacks of density matrices, one stack at a time."""
-        ws, Vs = [], []
-        for chunk in chunks:
+    def from_matrices(cls, chunks, dim: int, tol: float = DEFAULT_TOL) -> "DensityPath":
+        """Validate (k, dim, dim) stacks of density matrices, one stack at a time.
+
+        The stacks go through ``chunk_pipeline``, so at large ``dim`` one
+        stack is validated while the next is produced.
+        """
+
+        def validated(chunk):
             _, w, V = validate_density(chunk, tol)
-            ws.append(np.clip(w, 0.0, 1.0))
-            Vs.append(V)
+            return np.clip(w, 0.0, 1.0), V
+
+        with chunk_pipeline(validated, chunks, dim) as results:
+            ws, Vs = zip(*results)
         return cls(np.concatenate(ws), np.concatenate(Vs), tol)
 
     @classmethod
@@ -221,9 +278,9 @@ def apply_gauge(W: Amplitude, S: GaugeIsometry, tol: float = DEFAULT_TOL) -> Amp
     if W.dim != S.dim:
         raise DimensionMismatch(f"amplitude dim {W.dim} vs gauge dim {S.dim}")
     gauged = W.matrix @ S.matrix
-    drift = op_norm(gauged @ dagger(gauged) - W.matrix @ dagger(W.matrix))
-    if drift > tol * W.dim:
-        raise SupportMismatch(f"gauged amplitude changes the state by {drift:.3e}")
+    drift = first_norm_above(gauged @ dagger(gauged) - W.matrix @ dagger(W.matrix), tol * W.dim)
+    if drift is not None:
+        raise SupportMismatch(f"gauged amplitude changes the state by {drift[1]:.3e}")
     return Amplitude(gauged)
 
 
@@ -240,6 +297,9 @@ def parallelity_residual(W: Amplitude, W2: Amplitude) -> float:
     if a.shape != b.shape:
         raise DimensionMismatch(f"amplitude shapes {a.shape} vs {b.shape}")
     M = dagger(a) @ b
-    herm = np.linalg.svd(M - dagger(M), compute_uv=False)[0]
-    w = np.linalg.eigvalsh((M + dagger(M)) / 2)
-    return float(max(herm, abs(min(0.0, w[0]))))
+    # One eigensolve for both parts: i(M - M^dag) is Hermitian, and its
+    # spectral norm ||M - M^dag|| is the larger of -lambda_min and
+    # lambda_max (the spectrum is not symmetric about zero).
+    w = np.linalg.eigvalsh(np.stack([(M + dagger(M)) / 2, 1j * (M - dagger(M))]))
+    herm = max(-w[1, 0], w[1, -1])
+    return float(max(herm, abs(min(0.0, w[0, 0]))))

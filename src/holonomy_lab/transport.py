@@ -25,7 +25,14 @@ from .linalg import (
     polar_isometry,
     support_power,
 )
-from .state import PATH_CHUNK, Amplitude, DensityOperator, DensityPath, parallelity_residual
+from .state import (
+    PATH_CHUNK,
+    Amplitude,
+    DensityOperator,
+    DensityPath,
+    chunk_pipeline,
+    parallelity_residual,
+)
 
 __all__ = [
     "TransportResult",
@@ -83,10 +90,14 @@ def _transport(path, tol, keep_amplitudes):
     prev_amp = root @ V  # equals rho(0)^{1/2}
     amps = [prev_amp] if keep_amplitudes else None
     max_residual = 0.0
-    for start in range(0, n, PATH_CHUNK):
+
+    def step_isometries(start):
+        # The LAPACK half of a chunk; runs one chunk ahead at large dimension.
+        nonlocal root
         stop = min(start + PATH_CHUNK, n)
         # Roots of states start..stop; step k maps state k to state k+1.
         roots = np.concatenate([root[None], path.roots(start + 1, stop + 1)])
+        root = roots[-1]
         U, s, Vh = np.linalg.svd(roots[1:] @ roots[:-1])
         # The singular values of sqrt(rho_{k+1}) sqrt(rho_k) sum to the
         # square root of the transition probability of the step.
@@ -98,18 +109,20 @@ def _transport(path, tol, keep_amplitudes):
                 f"transition probability {float(fid[k - start]):.3e} <= tol between steps {k} and {k + 1}"
             )
         # Step isometries: singular directions below tol * s_max are cut.
-        steps = (U * (s > tol * s[:, :1])[:, None, :]) @ Vh
-        frames = np.empty_like(steps)
-        for j, step in enumerate(steps):
-            V = step @ V
-            frames[j] = V
-        chunk_amps = roots[1:] @ frames
-        for amp in chunk_amps:
-            max_residual = max(max_residual, parallelity_residual(prev_amp, amp))
-            prev_amp = amp
-        if keep_amplitudes:
-            amps.extend(chunk_amps)
-        root = roots[-1]
+        return roots[1:], (U * (s > tol * s[:, :1])[:, None, :]) @ Vh
+
+    with chunk_pipeline(step_isometries, range(0, n, PATH_CHUNK), path.dim) as chunks:
+        for roots, steps in chunks:
+            frames = np.empty_like(steps)
+            for j, step in enumerate(steps):
+                V = step @ V
+                frames[j] = V
+            chunk_amps = roots @ frames
+            for amp in chunk_amps:
+                max_residual = max(max_residual, parallelity_residual(prev_amp, amp))
+                prev_amp = amp
+            if keep_amplitudes:
+                amps.extend(chunk_amps)
     result = TransportResult(
         relative_phase_factor=V,
         initial_amplitude=Amplitude(first.sqrt),

@@ -89,6 +89,61 @@ def test_run_rejects_non_integer_fields(tmp_path, capsys, field, body):
     assert f"error: {field}: expected an integer" in err
 
 
+_STATIC_QUBIT = "evolution:\n  variant: static\n  hamiltonian: [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]\n  tau: 1.0\n"
+_SAMPLED_QUBIT = (
+    "evolution:\n  variant: sampled\n  tau: 1.0\n  unitaries:\n"
+    "    - [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]\n"
+    "    - [[[0.8, 0], [-0.6, 0]], [[0.6, 0], [0.8, 0]]]\n"
+    "    - [[[0.28, 0], [-0.96, 0]], [[0.96, 0], [0.28, 0]]]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "field, body",
+    [
+        ("states[0].eigenvalues",
+         "states:\n  - eigenvalues: 5\n    eigenvectors: [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]\n" + _STATIC_QUBIT),
+        ("states[0].eigenvectors",
+         "states:\n  - eigenvalues: [0.5, 0.5]\n    eigenvectors: 5\n" + _STATIC_QUBIT),
+        ("evolution.times",
+         "states:\n  - vector: [[1, 0], [0, 0]]\n" + _SAMPLED_QUBIT.replace("  tau: 1.0\n", "  times: 5\n")),
+    ],
+    ids=["eigenvalues", "eigenvectors", "times"],
+)
+def test_run_rejects_non_list_fields(tmp_path, capsys, field, body):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("format_version: 1\n" + body, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--scenario", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {field}: expected a list\n"
+
+
+def test_sampled_run_without_grid_uses_the_sample_times(tmp_path, capsys):
+    path = tmp_path / "sampled.yaml"
+    path.write_text("format_version: 1\nstates:\n  - vector: [[1, 0], [0, 0]]\n" + _SAMPLED_QUBIT, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--scenario", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["parameters"]["steps"] == 2
+    # The same file with the matching grid spelled out reports the same numbers.
+    path.write_text(path.read_text() + "grid:\n  n_steps: 2\n", encoding="utf-8")
+    code, explicit, _ = run_cli(capsys, "run", "--scenario", str(path), "--format", "json")
+    assert code == 0
+    assert explicit == out
+
+
+def test_sampled_run_with_a_grid_off_the_samples_exits_one(tmp_path, capsys):
+    path = tmp_path / "sampled.yaml"
+    path.write_text(
+        "format_version: 1\nstates:\n  - vector: [[1, 0], [0, 0]]\n" + _SAMPLED_QUBIT + "grid:\n  n_steps: 4\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "run", "--scenario", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: grid: t = 0.25 is not a sample point; resample instead of interpolating\n"
+
+
 def test_run_generic_scenario_file(tmp_path, capsys):
     body = (
         "format_version: 1\n"

@@ -172,6 +172,24 @@ def test_sampled_validation_threshold_is_tol_times_dim():
         SampledUnitaries(tuple(us), grid, tol=1e-9)
 
 
+def test_sampled_validation_decision_is_the_spectral_norms():
+    # U^dag U - I is about 2 delta I for (1 + delta) U at dim 4: spectral norm
+    # 2 delta, Frobenius norm 4 delta. The bound is tol * dim = 4e-9.
+    grid = TimeGrid.uniform(1.0, 5)
+    us = [np.kron(unitary_exp(SIGMA_Y, float(t)), np.eye(2)) for t in grid.times]
+    us[2] = (1 + 1.6e-9) * us[2]
+    SampledUnitaries(tuple(us), grid, tol=1e-9)
+    us[4] = (1 + 2.4e-9) * us[4]
+    us[5] = 2.0 * us[5]
+    stack = np.array(us)
+    # The reference: an SVD of every member, the first norm above the bound named.
+    defects = np.linalg.svd(stack.conj().swapaxes(-1, -2) @ stack - np.eye(4), compute_uv=False)[:, 0]
+    assert np.linalg.norm(stack[2].conj().T @ stack[2] - np.eye(4)) > 4e-9 >= defects[2]
+    assert np.flatnonzero(defects > 4e-9)[0] == 4
+    with pytest.raises(NotUnitary, match=r"^sample 4 is not unitary within tolerance$"):
+        SampledUnitaries(tuple(us), grid, tol=1e-9)
+
+
 def test_sampled_validation_dimension_mismatch():
     us, grid = _rotation_samples(4)
     us[3] = np.eye(3)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from holonomy_lab.errors import InvalidState, NotHermitian, NotPSD
 from holonomy_lab.linalg import (
+    first_norm_above,
     hermitian_sqrt,
     is_partial_isometry,
     op_norm,
@@ -174,6 +175,48 @@ def test_partial_isometry_examples():
     assert is_partial_isometry(usf_matrix())
 
 
+def test_partial_isometry_decision_is_the_spectral_norms():
+    # S S^dag S - S is about 2 delta I here: spectral norm 2 delta, Frobenius 4 delta.
+    inside = (1 + 0.4e-9) * np.eye(4)
+    defect = inside @ inside @ inside - inside
+    assert np.linalg.norm(defect) > 1e-9 >= op_norm(defect)
+    assert is_partial_isometry(inside)
+    assert not is_partial_isometry((1 + 0.6e-9) * np.eye(4))
+
+
+# ------------------------------------------------------------ first_norm_above
+
+def test_first_norm_above_matches_one_svd_of_every_member(rng):
+    stack = rng.normal(size=(20, 5, 5)) + 1j * rng.normal(size=(20, 5, 5))
+    # Rank-one members, whose Frobenius and spectral norms agree up to round-off.
+    u = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+    v = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+    stack[::3] = u[:, :, None] * v[:, None, :].conj()
+    norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    bounds = np.concatenate([norms, np.nextafter(norms, 0.0), [0.0, 2 * norms.max()]])
+    for bound in bounds:
+        over = np.flatnonzero(norms > bound)
+        expected = (int(over[0]), float(norms[over[0]])) if over.size else None
+        assert first_norm_above(stack, bound) == expected
+    assert first_norm_above(stack[3], np.nextafter(norms[3], 0.0)) == (0, norms[3])
+    assert first_norm_above(stack[3], norms[3]) is None
+    assert first_norm_above(np.zeros((3, 3)), 0.0) is None
+
+
+def test_first_norm_above_survives_frobenius_round_off(rng):
+    # Rank-one matrices have equal norms, so round-off can put the computed
+    # Frobenius norm below the SVD's; the member must still be reported.
+    u = rng.normal(size=(200, 5)) + 1j * rng.normal(size=(200, 5))
+    v = rng.normal(size=(200, 5)) + 1j * rng.normal(size=(200, 5))
+    stack = u[:, :, None] * v[:, None, :].conj()
+    norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    bounds = np.nextafter(norms, 0.0)
+    low = np.flatnonzero(np.linalg.norm(stack, axis=(-2, -1)) <= bounds)
+    assert low.size
+    for k in low:
+        assert first_norm_above(stack[k], bounds[k]) == (0, norms[k])
+
+
 # ------------------------------------------------------------------ unitary_exp
 
 def test_unitary_exp_at_zero(rng):
@@ -309,3 +352,19 @@ def test_validate_density_messages(matrix, message):
     with pytest.raises(InvalidState) as stacked:
         validate_density(np.array([good, good, matrix, good]))
     assert str(stacked.value) == str(single.value)
+
+
+def test_validate_density_hermiticity_decision_is_the_spectral_norms():
+    # m - m^dag = c K with K = i diag(1, 1, -1, -1): spectral norm c, Frobenius 2c.
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    skew = 1j * np.diag([1.0, 1.0, -1.0, -1.0])
+    inside, first_bad, worse = (rho + c * skew / 2 for c in (0.8e-9, 1.2e-9, 5e-9))
+    assert np.linalg.norm(inside - inside.conj().T) > 1e-9 >= op_norm(inside - inside.conj().T)
+    validate_density(inside)
+    stack = np.array([inside, inside, first_bad, worse])
+    # The reference: an SVD of every member, the first norm above tol named.
+    defects = np.linalg.svd(stack - stack.conj().swapaxes(-1, -2), compute_uv=False)[:, 0]
+    assert np.flatnonzero(defects > 1e-9)[0] == 2
+    with pytest.raises(InvalidState) as exc:
+        validate_density(stack)
+    assert str(exc.value) == f"density matrix not Hermitian (defect {defects[2]:.3e})"

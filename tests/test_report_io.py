@@ -199,6 +199,22 @@ def test_sampled_evolution_config():
     assert cfg.grid.n_steps == 1
 
 
+def test_sampled_evolution_grid_defaults_to_the_sample_times():
+    data = {
+        "format_version": 1,
+        "states": [{"preset": "maximally-mixed", "dimension": 2}],
+        "evolution": {
+            "variant": "sampled",
+            "times": [0.0, 0.1, 0.5],
+            "unitaries": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]] * 3,
+        },
+    }
+    cfg = parse_scenario(data)
+    assert np.array_equal(cfg.grid.times, [0.0, 0.1, 0.5])
+    with pytest.raises(ScenarioFormatError, match=r"^grid: t = 0\.25 is not a sample point"):
+        parse_scenario({**data, "grid": {"n_steps": 2}})
+
+
 # ------------------------------------------------------- integer fields
 
 _STATIC_2 = {"variant": "static", "hamiltonian": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], "tau": 1.0}

@@ -17,6 +17,7 @@ from conftest import (
     PSI_PLUS,
     dyad,
     random_density_matrix,
+    random_hermitian,
     random_unitary,
     rho1_matrix,
 )
@@ -143,6 +144,36 @@ def test_parallelity_swap_symmetry(rng):
     W2 = Amplitude(random_unitary(rng, 3) @ standard_purification(
         DensityOperator(random_density_matrix(rng, 3))).matrix)
     assert parallelity_residual(W, W2) == pytest.approx(parallelity_residual(W2, W), abs=1e-12)
+
+
+def _svd_parallelity_residual(a, b):
+    """The residual as it was first written: an SVD for the skew part, eigvalsh for the rest."""
+    M = a.conj().T @ b
+    herm = np.linalg.svd(M - M.conj().T, compute_uv=False)[0]
+    w = np.linalg.eigvalsh((M + M.conj().T) / 2)
+    return float(max(herm, abs(min(0.0, w[0]))))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 7])
+def test_parallelity_residual_matches_svd_formula(rng, dim):
+    def gaussian():
+        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+    cases = [(scale * gaussian(), gaussian()) for scale in (1e-3, 1.0, 30.0)]
+    # Anti-Hermitian parts with nonzero trace, so i(M - M^dag) has an asymmetric spectrum.
+    H = random_hermitian(rng, dim)
+    cases.append((np.eye(dim), H + 0.7j * np.eye(dim)))
+    cases.append((np.eye(dim), H - 0.7j * np.eye(dim) + 0.1j * random_hermitian(rng, dim)))
+    cases.append((gaussian(), gaussian() + 3j * np.eye(dim)))
+    for a, b in cases:
+        bound = 1e-14 * max(1.0, op_norm(a.conj().T @ b))
+        assert abs(parallelity_residual(a, b) - _svd_parallelity_residual(a, b)) <= bound
+
+
+def test_parallelity_residual_takes_both_ends_of_the_skew_spectrum():
+    # M - M^dag = 1.4i I: i(M - M^dag) = -1.4 I has no positive eigenvalue.
+    assert parallelity_residual(np.eye(3), (1 + 0.7j) * np.eye(3)) == pytest.approx(1.4, abs=1e-15)
+    assert parallelity_residual(np.eye(3), (1 - 0.7j) * np.eye(3)) == pytest.approx(1.4, abs=1e-15)
 
 
 def test_parallelity_of_transported_neighbours():
