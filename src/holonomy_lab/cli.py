@@ -26,7 +26,7 @@ from .evolution import density_path
 from .linalg import DEFAULT_TOL
 from .offdiag import nu_functional, off_diagonal_invariant
 from .report import UNDEFINED, encode_complex, encode_matrix, to_csv_rows, to_json, to_text
-from .scenario_io import PRESETS, ScenarioConfig, load_scenario, parse_scenario
+from .scenario_io import PRESETS, ScenarioConfig, as_tolerance, load_scenario, parse_scenario
 from .scenarios import BellScenario, bell_basis, evolution_spec, run_bell_scenario
 from .transport import discrete_holonomy
 from .verify import property_groups, run_properties
@@ -42,14 +42,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _env_tol() -> float:
+def _base_tol(args) -> float:
+    """The --tol flag, else HOLONOMY_LAB_TOL, else DEFAULT_TOL; 0 < tol < 1."""
+    if args.tol is not None:
+        return as_tolerance(args.tol, "--tol")
     raw = os.environ.get("HOLONOMY_LAB_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise ScenarioFormatError(f"HOLONOMY_LAB_TOL: expected a number, got {raw!r}")
+    return DEFAULT_TOL if raw is None else as_tolerance(raw, "HOLONOMY_LAB_TOL")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, default=None, help="Bell mixture weight override")
         p.add_argument("--steps", type=int, default=None, help="transport grid steps override")
         p.add_argument("--u", type=float, default=None, help="rotating-frame scale override")
-        p.add_argument("--tol", type=float, default=None, help="global tolerance (default HOLONOMY_LAB_TOL or 1e-9)")
+        p.add_argument("--tol", type=float, default=None, help="global tolerance, 0 < tol < 1 (default HOLONOMY_LAB_TOL or 1e-9)")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     run_p = sub.add_parser("run", help="run one scenario and emit a report")
@@ -107,7 +105,7 @@ def _diag_block(diag, closed_form_error=None):
 
 
 def _load_config(args) -> ScenarioConfig:
-    tol = args.tol if args.tol is not None else _env_tol()
+    tol = _base_tol(args)
     if args.scenario in PRESETS:
         cfg = parse_scenario({"format_version": 1, "scenario": args.scenario}, name=args.scenario, base_tol=tol)
     else:

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotUnitary
-from .linalg import DEFAULT_TOL, as_square_matrix, dagger, first_norm_above, support_power
+from .linalg import DEFAULT_TOL, as_square_matrix, dagger, first_norm_above, is_orthonormal, support_power
 from .evolution import EvolutionSpec, TimeGrid, unitary_at
 from .offdiag import nu_functional, off_diagonal_invariant, principal_angle
-from .state import Amplitude, DensityOperator
+from .state import DensityOperator
 from .transport import TransportResult, discrete_holonomy
 
 __all__ = [
@@ -57,8 +57,7 @@ class PermutedFamily:
         V = np.asarray(self.eigenvectors, dtype=complex)
         if V.ndim != 2 or V.shape[1] != lam.size:
             raise ValueError("need one eigenvector column per eigenvalue")
-        gram = dagger(V) @ V
-        if first_norm_above(gram - np.eye(lam.size), 1e-9) is not None:
+        if not is_orthonormal(V):
             raise ValueError("eigenvectors must be orthonormal")
         if lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-9:
             raise ValueError("eigenvalues must be a probability vector")
@@ -172,14 +171,14 @@ def _eigenstate_transport_residual(spec, family, grid) -> float:
     return worst
 
 
-def _closed_form_result(U_tau: np.ndarray, rho: DensityOperator) -> TransportResult:
+def _closed_form_result(U_tau: np.ndarray, rho: DensityOperator, tol: float = DEFAULT_TOL) -> TransportResult:
     """Exact parallel lift W(t) = U(t) rho^{1/2} for eigenstate-transporting U."""
     w0 = rho.sqrt
     wt = U_tau @ w0
     return TransportResult(
-        relative_phase_factor=U_tau @ rho.support,
-        initial_amplitude=Amplitude(w0),
-        final_amplitude=Amplitude(wt),
+        relative_phase_factor=U_tau @ support_power(rho.eigenvalues, rho.eigenvectors, 0, tol),
+        initial_amplitude=w0,
+        final_amplitude=wt,
         invariant=wt @ dagger(w0),
         max_step_parallelity_residual=0.0,
         n_steps=0,
@@ -214,7 +213,7 @@ def discrepancy_report(
     for k in range(l):
         rho = family.state(k)
         if use_closed_form:
-            results.append(_closed_form_result(U_tau, rho))
+            results.append(_closed_form_result(U_tau, rho, tol))
         else:
             results.append(discrete_holonomy(density_path(rho, spec, grid), tol))
     X = off_diagonal_invariant(results)

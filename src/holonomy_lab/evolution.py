@@ -141,7 +141,6 @@ class SampledUnitaries:
 
     unitaries: tuple
     grid: TimeGrid
-    tol: float = field(default=DEFAULT_TOL)
 
     def __post_init__(self):
         us = tuple(as_square_matrix(U) for U in self.unitaries)
@@ -149,12 +148,12 @@ class SampledUnitaries:
             raise ValueError("one unitary per grid time is required")
         dim = us[0].shape[0]
         eye = np.eye(dim)
-        if first_norm_above(us[0] - eye, self.tol * dim) is not None:
+        if first_norm_above(us[0] - eye, DEFAULT_TOL * dim) is not None:
             raise NotUnitary("the first sampled unitary must be the identity")
         if any(U.shape[0] != dim for U in us):
             raise DimensionMismatch("sampled unitaries differ in dimension")
         stack = np.stack(us)
-        bad = first_norm_above(dagger(stack) @ stack - eye, self.tol * dim)
+        bad = first_norm_above(dagger(stack) @ stack - eye, DEFAULT_TOL * dim)
         if bad is not None:
             raise NotUnitary(f"sample {bad[0]} is not unitary within tolerance")
         object.__setattr__(self, "unitaries", us)

@@ -1,9 +1,10 @@
 """Dense complex-matrix primitives.
 
-All routines operate on small square numpy arrays (dim <= ~64). Rank
-decisions use a relative singular-value cutoff tol * sigma_max, and
-partial isometries are completed by zero on the kernel, so that the
-kernel of the extracted isometry equals the kernel of the input.
+All routines operate on small square numpy arrays (dim <= ~64). Every
+rank decision is ``kept_directions``: eigenvalues and singular values
+alike count as nonzero above tol times the largest one. Partial
+isometries are completed by zero on the kernel, so that the kernel of
+the extracted isometry equals the kernel of the input.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "dagger",
     "op_norm",
     "first_norm_above",
+    "kept_directions",
     "hermitian_sqrt",
     "eigh_root",
     "eigh_exp",
@@ -29,6 +31,7 @@ __all__ = [
     "polar",
     "polar_isometry",
     "is_partial_isometry",
+    "is_orthonormal",
     "unitary_exp",
     "validate_density",
     "transition_probability",
@@ -81,6 +84,15 @@ def first_norm_above(M: np.ndarray, bound: float):
     return int(candidates[over[0]]), float(norms[over[0]])
 
 
+def kept_directions(values: np.ndarray, tol: float) -> np.ndarray:
+    """The one rank rule: mask of the values above tol times the largest.
+
+    ``values`` are non-negative eigenvalues or singular values, one
+    spectrum or a stack along the last axis; a zero matrix keeps nothing.
+    """
+    return values > tol * values.max(axis=-1, keepdims=True, initial=0.0)
+
+
 def hermitian_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition.
 
@@ -116,26 +128,23 @@ def eigh_exp(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
 def support_power(w: np.ndarray, V: np.ndarray, p: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Power p of a PSD matrix on its support, zero on the rest.
 
-    Takes the eigen-data (w ascending, V eigenvectors as columns) and
-    keeps eigenvalues w > tol * max(w_max, tol); negative p gives the
-    pseudo-inverse power.
+    Takes the eigen-data (V eigenvectors as columns) and keeps the
+    eigenvalues of ``kept_directions``; negative p gives the pseudo-inverse
+    power.
     """
     w = np.clip(w, 0.0, None)
-    keep = w > tol * max(w[-1], tol)
+    keep = kept_directions(w, tol)
     return (V * (np.where(keep, w, 1.0) ** p * keep)) @ dagger(V)
 
 
 def support_projector(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Hermitian projector onto the range of M.
 
-    Keeps singular directions with sigma > tol * sigma_max; the zero
-    matrix maps to the zero projector.
+    Keeps the singular directions of ``kept_directions``; the zero matrix
+    maps to the zero projector.
     """
-    M = as_square_matrix(M)
-    U, s, _ = np.linalg.svd(M)
-    if s.size == 0 or s[0] <= 0.0:
-        return np.zeros_like(M)
-    kept = U[:, s > tol * s[0]]
+    U, s, _ = np.linalg.svd(as_square_matrix(M))
+    kept = U[:, kept_directions(s, tol)]
     P = kept @ dagger(kept)
     return (P + dagger(P)) / 2
 
@@ -157,19 +166,15 @@ class PolarFactors:
 def polar(X, side: str = "left", tol: float = DEFAULT_TOL) -> PolarFactors:
     """Polar decomposition with the zero-on-kernel isometry convention.
 
-    Singular directions below tol * sigma_max are dropped from the
+    Singular directions outside ``kept_directions`` are dropped from the
     isometry, so the left and right decompositions share one partial
     isometry (their positive parts differ).
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    X = as_square_matrix(X)
-    U, s, Vh = np.linalg.svd(X)
-    if s.size and s[0] > 0.0:
-        keep = s > tol * s[0]
-        isometry = U[:, keep] @ Vh[keep, :]
-    else:
-        isometry = np.zeros_like(X)
+    U, s, Vh = np.linalg.svd(as_square_matrix(X))
+    keep = kept_directions(s, tol)
+    isometry = U[:, keep] @ Vh[keep, :]
     if side == "left":
         positive = dagger(Vh) @ (s[:, None] * Vh)
     else:
@@ -187,6 +192,11 @@ def is_partial_isometry(S, tol: float = DEFAULT_TOL) -> bool:
     """True iff S S^dag S = S within tolerance (S^dag S is a projector)."""
     S = as_square_matrix(S)
     return first_norm_above(S @ dagger(S) @ S - S, tol) is None
+
+
+def is_orthonormal(V: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """True iff the columns of V are orthonormal: ||V^dag V - I|| <= tol."""
+    return first_norm_above(dagger(V) @ V - np.eye(V.shape[1]), tol) is None
 
 
 def unitary_exp(H, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:

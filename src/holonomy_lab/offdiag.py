@@ -161,11 +161,11 @@ def alternative_ordering(results, indices=None) -> np.ndarray:
     first = results[0]
     if not isinstance(first, TransportResult):
         raise TypeError("alternative_ordering needs TransportResult inputs")
-    dim = first.initial_amplitude.dim
+    dim = first.initial_amplitude.shape[0]
     middle = np.eye(dim, dtype=complex)
     for r in results[1:]:
         m = _invariant_matrix(r)
         if m.shape[0] != dim:
             raise DimensionMismatch("constituent invariants differ in dimension")
         middle = middle @ m
-    return dagger(first.initial_amplitude.matrix) @ middle @ first.final_amplitude.matrix
+    return dagger(first.initial_amplitude) @ middle @ first.final_amplitude

@@ -16,11 +16,11 @@ import yaml
 
 from .errors import GridMiss, InvalidState, ScenarioFormatError
 from .evolution import RotatingFrame, SampledUnitaries, StaticHamiltonian, TimeGrid
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, is_orthonormal
 from .scenarios import BellScenario, bell_mixture
 from .state import DensityOperator
 
-__all__ = ["ScenarioConfig", "load_scenario", "parse_scenario", "PRESETS"]
+__all__ = ["ScenarioConfig", "as_tolerance", "load_scenario", "parse_scenario", "PRESETS"]
 
 PRESETS = ("bell-static", "bell-rotating")
 
@@ -57,6 +57,14 @@ def _as_number(value, fieldname: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(fieldname, f"expected a number, got {value!r}")
     return float(value)
+
+
+def as_tolerance(value, fieldname: str) -> float:
+    """A tolerance: a finite number with 0 < tol < 1."""
+    tol = _as_number(value, fieldname)
+    if not 0.0 < tol < 1.0:  # also rejects nan and inf
+        _fail(fieldname, f"expected a finite number with 0 < tol < 1, got {tol!r}")
+    return tol
 
 
 def _as_int(value, fieldname: str) -> int:
@@ -133,8 +141,7 @@ def _parse_state(entry, fieldname: str, tol: float) -> DensityOperator:
             vecs = _as_list(vecs, f"{fieldname}.eigenvectors")
             cols = [_as_vector(v, f"{fieldname}.eigenvectors[{i}]") for i, v in enumerate(vecs)]
             V = np.column_stack(cols)
-            gram = V.conj().T @ V
-            if not np.allclose(gram, np.eye(len(cols)), atol=1e-9):
+            if not is_orthonormal(V):
                 _fail(f"{fieldname}.eigenvectors", "must be orthonormal")
             m = (V * np.asarray(lam)) @ V.conj().T
             return DensityOperator(m, tol=tol)
@@ -219,9 +226,9 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
         if not isinstance(data["tolerances"], dict):
             _fail("tolerances", "expected a mapping")
         for k, v in data["tolerances"].items():
-            if k not in ("phase", "transport", "support"):
+            if k not in ("phase", "transport"):
                 _fail(f"tolerances.{k}", "unknown tolerance name")
-            tolerances[k] = _as_number(v, f"tolerances.{k}")
+            tolerances[k] = as_tolerance(v, f"tolerances.{k}")
     tolerances.setdefault("phase", base_tol)
     tolerances.setdefault("transport", base_tol)
     tol = tolerances["transport"]

@@ -22,8 +22,9 @@ from .linalg import (
     dagger,
     eigh_root,
     first_norm_above,
-    hermitian_sqrt,
     is_partial_isometry,
+    kept_directions,
+    support_power,
     validate_density,
 )
 
@@ -95,19 +96,12 @@ class DensityOperator:
 
     def rank(self, tol: float | None = None) -> int:
         tol = self.tol if tol is None else tol
-        w = self.eigenvalues
-        top = w[-1]
-        if top <= 0.0:
-            return 0
-        return int(np.count_nonzero(w > tol * top))
+        return int(np.count_nonzero(kept_directions(self.eigenvalues, tol)))
 
     @cached_property
     def support(self) -> np.ndarray:
-        """Projector onto the range (eigenvectors above the rank cutoff)."""
-        w, V = self._eigs
-        kept = V[:, w > self.tol * max(w[-1], self.tol)]
-        P = kept @ dagger(kept)
-        return (P + dagger(P)) / 2
+        """Projector onto the range (eigenvectors of ``kept_directions``)."""
+        return support_power(*self._eigs, 0, self.tol)
 
     def __repr__(self):
         return f"DensityOperator(dim={self.dim}, rank={self.rank()})"
@@ -234,7 +228,11 @@ class DensityPath:
 
 
 class Amplitude:
-    """Square matrix W whose state is W W^dag."""
+    """Square matrix W whose state is W W^dag, validated as a density operator.
+
+    The checked type for purifications built by hand; transport results
+    hold their amplitudes as plain matrices.
+    """
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL):
         matrix = as_square_matrix(matrix)
@@ -265,7 +263,7 @@ def standard_purification(rho: DensityOperator) -> Amplitude:
     """The amplitude rho^{1/2}, i.e. phase factor = identity on the support."""
     if not isinstance(rho, DensityOperator):
         rho = DensityOperator(rho)
-    return Amplitude(hermitian_sqrt(rho.matrix, rho.tol))
+    return Amplitude(rho.sqrt, rho.tol)
 
 
 def apply_gauge(W: Amplitude, S: GaugeIsometry, tol: float = DEFAULT_TOL) -> Amplitude:

@@ -20,19 +20,14 @@ from .linalg import (
     DEFAULT_TOL,
     as_square_matrix,
     dagger,
+    eigh_root,
     is_partial_isometry,
+    kept_directions,
     op_norm,
     polar_isometry,
     support_power,
 )
-from .state import (
-    PATH_CHUNK,
-    Amplitude,
-    DensityOperator,
-    DensityPath,
-    chunk_pipeline,
-    parallelity_residual,
-)
+from .state import PATH_CHUNK, DensityOperator, DensityPath, chunk_pipeline, parallelity_residual
 
 __all__ = [
     "TransportResult",
@@ -48,13 +43,15 @@ __all__ = [
 class TransportResult:
     """Outcome of transporting one path.
 
+    The amplitudes are plain (d, d) matrices: ``initial_amplitude`` is
+    rho(0)^{1/2} and ``final_amplitude`` the transported W(tau).
     ``invariant`` is final_amplitude @ initial_amplitude^dag, equal to
     rho(tau)^{1/2} V(tau) rho(0)^{1/2} by construction.
     """
 
     relative_phase_factor: np.ndarray
-    initial_amplitude: Amplitude
-    final_amplitude: Amplitude
+    initial_amplitude: np.ndarray
+    final_amplitude: np.ndarray
     invariant: np.ndarray
     max_step_parallelity_residual: float
     n_steps: int
@@ -84,10 +81,10 @@ def _transport(path, tol, keep_amplitudes):
     if not isinstance(path, DensityPath):
         path = DensityPath.from_states(path)
     n = len(path) - 1
-    first = path[0]
-    root = first.sqrt
-    V = first.support.copy()
-    prev_amp = root @ V  # equals rho(0)^{1/2}
+    # Every rank decision of the transport is made at the caller's tol.
+    initial = root = eigh_root(path.w[0], path.V[0])
+    V = support_power(path.w[0], path.V[0], 0, tol)
+    prev_amp = root @ V  # rho(0)^{1/2} on the kept support
     amps = [prev_amp] if keep_amplitudes else None
     max_residual = 0.0
 
@@ -108,8 +105,8 @@ def _transport(path, tol, keep_amplitudes):
             raise OrthogonalStep(
                 f"transition probability {float(fid[k - start]):.3e} <= tol between steps {k} and {k + 1}"
             )
-        # Step isometries: singular directions below tol * s_max are cut.
-        return roots[1:], (U * (s > tol * s[:, :1])[:, None, :]) @ Vh
+        # Step isometries: singular directions outside kept_directions are cut.
+        return roots[1:], (U * kept_directions(s, tol)[:, None, :]) @ Vh
 
     with chunk_pipeline(step_isometries, range(0, n, PATH_CHUNK), path.dim) as chunks:
         for roots, steps in chunks:
@@ -125,9 +122,9 @@ def _transport(path, tol, keep_amplitudes):
                 amps.extend(chunk_amps)
     result = TransportResult(
         relative_phase_factor=V,
-        initial_amplitude=Amplitude(first.sqrt),
-        final_amplitude=Amplitude(prev_amp),
-        invariant=prev_amp @ dagger(first.sqrt),
+        initial_amplitude=initial,
+        final_amplitude=prev_amp,
+        invariant=prev_amp @ dagger(initial),
         max_step_parallelity_residual=max_residual,
         n_steps=n,
     )

@@ -7,7 +7,7 @@ seed always produces the same verdicts and measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,13 +47,8 @@ from .scenarios import (
     run_bell_scenario,
     spin_flip_unitary,
 )
-from .state import Amplitude, DensityOperator, GaugeIsometry, apply_gauge, standard_purification
-from .transport import (
-    AncillaGauge,
-    TransportResult,
-    discrete_holonomy,
-    transport_equation_residual,
-)
+from .state import DensityOperator, GaugeIsometry, apply_gauge, standard_purification
+from .transport import AncillaGauge, discrete_holonomy, transport_equation_residual
 
 __all__ = ["PropertyResult", "run_properties", "property_groups"]
 
@@ -248,7 +243,7 @@ def check_purification(rng):
         S = GaugeIsometry(_random_unitary(rng, dim))
         gauged = apply_gauge(W, S)
         worst_gauge = max(worst_gauge, op_norm(gauged.matrix @ dagger(gauged.matrix) - rho.matrix))
-        W2 = Amplitude(_random_unitary(rng, dim) @ _random_density(rng, dim).sqrt)
+        W2 = _random_unitary(rng, dim) @ _random_density(rng, dim).sqrt
         from .state import parallelity_residual
 
         worst_sym = max(worst_sym, abs(parallelity_residual(W, W2) - parallelity_residual(W2, W)))
@@ -332,16 +327,9 @@ def check_gauge_invariance(rng):
             vs = V[:, w > 1e-9]
             ws = np.linalg.qr(_random_complex(rng, 4))[0][:, : vs.shape[1]]
             S = vs @ dagger(ws)
-            gauged.append(
-                TransportResult(
-                    relative_phase_factor=res.relative_phase_factor,
-                    initial_amplitude=Amplitude(res.initial_amplitude.matrix @ S),
-                    final_amplitude=Amplitude(res.final_amplitude.matrix @ S),
-                    invariant=res.final_amplitude.matrix @ S @ dagger(S) @ dagger(res.initial_amplitude.matrix),
-                    max_step_parallelity_residual=res.max_step_parallelity_residual,
-                    n_steps=res.n_steps,
-                )
-            )
+            initial, final = res.initial_amplitude @ S, res.final_amplitude @ S
+            invariant = final @ dagger(S) @ dagger(res.initial_amplitude)
+            gauged.append(replace(res, initial_amplitude=initial, final_amplitude=final, invariant=invariant))
         X = off_diagonal_invariant(results)
         Xg = off_diagonal_invariant(gauged)
         worst = max(worst, op_norm(X.operator - Xg.operator))
@@ -422,14 +410,9 @@ def check_trace_cyclic(rng):
         worst = max(worst, abs(np.trace(X.operator) - np.trace(Y)))
         # Global gauge on path 1 conjugates Y but keeps its trace.
         S = _random_unitary(rng, 4)
-        gauged_first = TransportResult(
-            relative_phase_factor=results[0].relative_phase_factor,
-            initial_amplitude=Amplitude(results[0].initial_amplitude.matrix @ S),
-            final_amplitude=Amplitude(results[0].final_amplitude.matrix @ S),
-            invariant=results[0].invariant,
-            max_step_parallelity_residual=0.0,
-            n_steps=results[0].n_steps,
-        )
+        first = results[0]
+        initial, final = first.initial_amplitude @ S, first.final_amplitude @ S
+        gauged_first = replace(first, initial_amplitude=initial, final_amplitude=final)
         Yg = alternative_ordering([gauged_first, results[1]])
         worst_gauge = max(worst_gauge, op_norm(Yg - dagger(S) @ Y @ S))
     return [

@@ -21,7 +21,7 @@ from holonomy_lab.scenarios import (
     gauge_angle,
     run_bell_scenario,
 )
-from holonomy_lab.state import Amplitude, DensityOperator
+from holonomy_lab.state import DensityOperator
 from holonomy_lab.transport import (
     AncillaGauge,
     TransportResult,
@@ -179,8 +179,7 @@ def test_criterion_6_pure_state_reduction():
             for k in range(l):
                 rho = DensityOperator.pure(vecs[k])
                 w0 = rho.sqrt
-                results.append(TransportResult(U @ rho.support, Amplitude(w0),
-                                               Amplitude(U @ w0), U @ rho.matrix, 0.0, 0))
+                results.append(TransportResult(U @ rho.support, w0, U @ w0, U @ rho.matrix, 0.0, 0))
             X = off_diagonal_invariant(results)
             barg = complex(1.0)
             for k in range(l):

@@ -391,3 +391,73 @@ def test_env_var_sets_global_tolerance(capsys, monkeypatch):
         "--format", "json", "--tol", "1e-9",
     )
     assert json.loads(out)["invariants"][2]["nu"] != "undefined"
+
+
+# ------------------------------------------------------------------- tolerances
+
+def test_run_tolerance_near_one_truncates_to_rank_one(capsys):
+    # Every rank decision is relative to the largest eigenvalue, so at tol 0.9
+    # each Bell mixture (weights 2/3, 1/3) keeps only its top direction.
+    code, out, err = run_cli(capsys, "run", "--scenario", "bell-static", "--tol", "0.9", "--format", "json")
+    assert (code, err) == (0, "")
+    by_name = {inv["name"]: inv for inv in json.loads(out)["invariants"]}
+    assert by_name["X1"]["support_overlap"] < 1e-9
+    assert by_name["X2"]["support_overlap"] < 1e-9
+    # X12 is the product of the rank-1 truncations onto Psi- and Phi+.
+    assert abs(complex(*by_name["X12"]["trace"]) - (-4 / 9)) < 1e-9
+    assert abs(by_name["X1"]["closed_form_error"] - 1 / 3) < 1e-9
+
+
+_BAD_TOLERANCES = ["0", "-1", "1", "1.5", "inf", "nan"]
+
+
+@pytest.mark.parametrize("value", _BAD_TOLERANCES)
+def test_run_rejects_tol_flag_outside_unit_interval(capsys, value):
+    code, out, err = run_cli(capsys, "run", "--scenario", "bell-static", "--tol", value)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --tol: expected a finite number with 0 < tol < 1")
+
+
+@pytest.mark.parametrize("value", _BAD_TOLERANCES)
+def test_run_rejects_env_tolerance_outside_unit_interval(capsys, monkeypatch, value):
+    monkeypatch.setenv("HOLONOMY_LAB_TOL", value)
+    code, out, err = run_cli(capsys, "run", "--scenario", "bell-static")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: HOLONOMY_LAB_TOL: expected a finite number with 0 < tol < 1")
+
+
+@pytest.mark.parametrize("name", ["phase", "transport"])
+@pytest.mark.parametrize("value", _BAD_TOLERANCES)
+def test_run_rejects_file_tolerance_outside_unit_interval(tmp_path, capsys, name, value):
+    path = tmp_path / "tol.yaml"
+    path.write_text(f"format_version: 1\nscenario: bell-static\ntolerances:\n  {name}: {value}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--scenario", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: tolerances.{name}: expected a finite number with 0 < tol < 1")
+
+
+def test_sweep_rejects_tol_flag_outside_unit_interval(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--scenario", "bell-static", "--parameter", "epsilon", "--values", "0.5", "--tol", "0",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --tol: expected a finite number with 0 < tol < 1")
+
+
+def test_run_rejects_support_tolerance(tmp_path, capsys):
+    path = tmp_path / "tol.yaml"
+    path.write_text("format_version: 1\nscenario: bell-static\ntolerances:\n  support: 1e-9\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--scenario", str(path))
+    assert (code, out, err) == (1, "", "error: tolerances.support: unknown tolerance name\n")
+
+
+def test_run_rejects_eigenvectors_off_by_more_than_tol(tmp_path, capsys):
+    # Norms 1 +- 4e-6: inside np.allclose's default rtol, far outside 1e-9.
+    path = tmp_path / "eig.yaml"
+    path.write_text(
+        "format_version: 1\nstates:\n  - eigenvalues: [0.5, 0.5]\n"
+        "    eigenvectors: [[1.000004, 0], [0, 0.999996]]\n" + _STATIC_QUBIT,
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "run", "--scenario", str(path))
+    assert (code, out, err) == (1, "", "error: states[0].eigenvectors: must be orthonormal\n")

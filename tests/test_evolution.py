@@ -166,10 +166,10 @@ def test_sampled_validation_threshold_is_tol_times_dim():
     us, grid = _rotation_samples(4)
     exact = us[2]
     us[2] = exact @ np.diag([1.0, 1.0 + 0.75e-9])
-    SampledUnitaries(tuple(us), grid, tol=1e-9)
+    SampledUnitaries(tuple(us), grid)
     us[2] = exact @ np.diag([1.0, 1.0 + 1.5e-9])
     with pytest.raises(NotUnitary, match=r"^sample 2 "):
-        SampledUnitaries(tuple(us), grid, tol=1e-9)
+        SampledUnitaries(tuple(us), grid)
 
 
 def test_sampled_validation_decision_is_the_spectral_norms():
@@ -178,7 +178,7 @@ def test_sampled_validation_decision_is_the_spectral_norms():
     grid = TimeGrid.uniform(1.0, 5)
     us = [np.kron(unitary_exp(SIGMA_Y, float(t)), np.eye(2)) for t in grid.times]
     us[2] = (1 + 1.6e-9) * us[2]
-    SampledUnitaries(tuple(us), grid, tol=1e-9)
+    SampledUnitaries(tuple(us), grid)
     us[4] = (1 + 2.4e-9) * us[4]
     us[5] = 2.0 * us[5]
     stack = np.array(us)
@@ -187,7 +187,7 @@ def test_sampled_validation_decision_is_the_spectral_norms():
     assert np.linalg.norm(stack[2].conj().T @ stack[2] - np.eye(4)) > 4e-9 >= defects[2]
     assert np.flatnonzero(defects > 4e-9)[0] == 4
     with pytest.raises(NotUnitary, match=r"^sample 4 is not unitary within tolerance$"):
-        SampledUnitaries(tuple(us), grid, tol=1e-9)
+        SampledUnitaries(tuple(us), grid)
 
 
 def test_sampled_validation_dimension_mismatch():

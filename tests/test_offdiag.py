@@ -12,7 +12,7 @@ from holonomy_lab.offdiag import (
     principal_angle,
     support_overlap,
 )
-from holonomy_lab.state import Amplitude, DensityOperator
+from holonomy_lab.state import DensityOperator
 from holonomy_lab.transport import TransportResult, discrete_holonomy
 
 from conftest import (
@@ -29,7 +29,7 @@ from conftest import (
 
 
 def _constant_result(rho: DensityOperator) -> TransportResult:
-    W = Amplitude(rho.sqrt)
+    W = rho.sqrt
     return TransportResult(
         relative_phase_factor=rho.support,
         initial_amplitude=W,
@@ -54,8 +54,8 @@ def test_order_two_static_bell_matches_brute_force():
     r1, r2 = rho1_matrix(0.5), rho1_tau_matrix(0.5)
     w1, w2 = DensityOperator(r1).sqrt, DensityOperator(r2).sqrt
     results = [
-        TransportResult(usf, Amplitude(w1), Amplitude(usf @ w1), usf @ r1, 0.0, 1),
-        TransportResult(usf, Amplitude(w2), Amplitude(usf @ w2), usf @ r2, 0.0, 1),
+        TransportResult(usf, w1, usf @ w1, usf @ r1, 0.0, 1),
+        TransportResult(usf, w2, usf @ w2, usf @ r2, 0.0, 1),
     ]
     X = off_diagonal_invariant(results, indices=(1, 2))
     assert np.allclose(X.operator, usf @ r1 @ usf @ r2, atol=1e-12)
@@ -198,8 +198,8 @@ def test_alternative_ordering_gauge_behaviour(rng):
     first = results[0]
     gauged = TransportResult(
         relative_phase_factor=first.relative_phase_factor,
-        initial_amplitude=Amplitude(first.initial_amplitude.matrix @ S),
-        final_amplitude=Amplitude(first.final_amplitude.matrix @ S),
+        initial_amplitude=first.initial_amplitude @ S,
+        final_amplitude=first.final_amplitude @ S,
         invariant=first.invariant,
         max_step_parallelity_residual=first.max_step_parallelity_residual,
         n_steps=first.n_steps,
@@ -225,8 +225,7 @@ def test_pure_state_reduction_matches_bargmann_product(rng):
         for k in range(l):
             rho = DensityOperator.pure(vecs[k])
             w0 = rho.sqrt
-            results.append(TransportResult(U @ rho.support, Amplitude(w0), Amplitude(U @ w0),
-                                           U @ rho.matrix, 0.0, 1))
+            results.append(TransportResult(U @ rho.support, w0, U @ w0, U @ rho.matrix, 0.0, 1))
         X = off_diagonal_invariant(results)
         barg = complex(1.0)
         for k in range(l):
