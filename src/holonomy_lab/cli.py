@@ -24,8 +24,8 @@ from .errors import (
 )
 from .evolution import density_path
 from .linalg import DEFAULT_TOL
-from .offdiag import nu_functional, off_diagonal_invariant
-from .report import UNDEFINED, encode_complex, encode_matrix, to_csv_rows, to_json, to_text
+from .offdiag import holonomy_isometry, nu_functional, off_diagonal_invariant
+from .report import UNDEFINED, encode_complex, encode_matrix, fmt, to_csv_rows, to_json, to_text
 from .scenario_io import PRESETS, ScenarioConfig, as_tolerance, load_scenario, parse_scenario
 from .scenarios import BellScenario, bell_basis, evolution_spec, run_bell_scenario
 from .transport import discrete_holonomy
@@ -128,8 +128,6 @@ def _report_preset(cfg: ScenarioConfig, dump_isometry: bool) -> dict:
         block = {"name": name, "indices": indices}
         block.update(_diag_block(rep.diagnoses[name], rep.closed_form_errors[name]))
         if dump_isometry:
-            from .offdiag import holonomy_isometry
-
             block["isometry"] = encode_matrix(holonomy_isometry(getattr(rep, name)))
         invariants.append(block)
     report = {
@@ -191,8 +189,6 @@ def _report_generic(cfg: ScenarioConfig, dump_isometry: bool) -> dict:
             block[f"nu[{obs_name}]"] = _phase_entry(obs)
             block[f"trace[{obs_name}]"] = encode_complex(obs.trace)
         if dump_isometry:
-            from .offdiag import holonomy_isometry
-
             block["isometry"] = encode_matrix(holonomy_isometry(X, tol))
         invariants.append(block)
     return {
@@ -246,8 +242,6 @@ def _cmd_sweep(args) -> int:
         "support_overlap_X12,closed_form_error,wall_time_ms"
     )
     lines = [header]
-    from .report import fmt
-
     attr, convert = _SWEEP_PARAMETERS[args.parameter]
     for value in values:
         started = time.perf_counter()

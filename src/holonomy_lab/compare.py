@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotUnitary
-from .linalg import DEFAULT_TOL, as_square_matrix, dagger, first_norm_above, is_orthonormal, support_power
-from .evolution import EvolutionSpec, TimeGrid, unitary_at
-from .offdiag import nu_functional, off_diagonal_invariant, principal_angle
+from .linalg import DEFAULT_TOL, as_square_matrix, dagger, first_norm_above, is_orthonormal, kept_directions, support_power
+from .evolution import EvolutionSpec, RotatingFrame, StaticHamiltonian, TimeGrid, density_path, rotating_generator, unitary_at
+from .offdiag import nu_functional, off_diagonal_invariant, phase_factor, principal_angle
 from .state import DensityOperator
 from .transport import TransportResult, discrete_holonomy
 
@@ -59,7 +59,7 @@ class PermutedFamily:
             raise ValueError("need one eigenvector column per eigenvalue")
         if not is_orthonormal(V):
             raise ValueError("eigenvectors must be orthonormal")
-        if lam.min() < -1e-12 or abs(lam.sum() - 1.0) > 1e-9:
+        if lam.min() < -DEFAULT_TOL or abs(lam.sum() - 1.0) > DEFAULT_TOL:
             raise ValueError("eigenvalues must be a probability vector")
         perms = tuple(tuple(int(i) for i in p) for p in self.permutations)
         for p in perms:
@@ -82,8 +82,7 @@ class PermutedFamily:
         return DensityOperator((V * lam) @ dagger(V))
 
     def is_rank_one(self, tol: float = DEFAULT_TOL) -> bool:
-        lam = np.sort(self.base_eigenvalues)
-        return bool(lam[-1] > 1.0 - tol * lam.size)
+        return int(np.count_nonzero(kept_directions(self.base_eigenvalues, tol))) == 1
 
 
 @dataclass(frozen=True)
@@ -105,11 +104,12 @@ def interferometric_offdiag_phase(
     """Phi[Tr(U rho_{j_1}^{1/l} U rho_{j_2}^{1/l} ... U rho_{j_l}^{1/l})].
 
     Returns an InterferometricPhase; the factor is None (undefined) when
-    the trace magnitude does not exceed tol. The caller is responsible
-    for using a unitary that parallel-transports each common eigenstate.
+    ``phase_factor`` finds the phase undefined at A = I, i.e. when the
+    trace magnitude does not exceed tol. The caller is responsible for
+    using a unitary that parallel-transports each common eigenstate.
     """
     U = as_square_matrix(U_final)
-    if first_norm_above(dagger(U) @ U - np.eye(U.shape[0]), max(tol, 1e-12) * U.shape[0]) is not None:
+    if first_norm_above(dagger(U) @ U - np.eye(U.shape[0]), DEFAULT_TOL * U.shape[0]) is not None:
         raise NotUnitary("evolution operator is not unitary within tolerance")
     if l < 1 or l > len(family):
         raise ValueError(f"order l = {l} needs {l} family members, have {len(family)}")
@@ -120,9 +120,8 @@ def interferometric_offdiag_phase(
         rho = family.state(k)
         prod = prod @ U @ support_power(rho.eigenvalues, rho.eigenvectors, 1.0 / l, tol)
     trace = complex(np.trace(prod))
-    if abs(trace) <= tol:
-        return InterferometricPhase(trace=trace, defined=False, factor=None)
-    return InterferometricPhase(trace=trace, defined=True, factor=trace / abs(trace))
+    factor = phase_factor(trace, 1.0, tol)
+    return InterferometricPhase(trace=trace, defined=factor is not None, factor=factor)
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,6 @@ def _eigenstate_transport_residual(spec, family, grid) -> float:
     Uses the analytic generator when the spec provides one (exact); only
     sampled evolutions fall back to central differences.
     """
-    from .evolution import RotatingFrame, StaticHamiltonian, rotating_generator
-
     V = family.eigenvectors
     if isinstance(spec, StaticHamiltonian):
         # U^dag dU/dt = -i H for all t.
@@ -205,11 +202,9 @@ def discrepancy_report(
 
     residual = _eigenstate_transport_residual(spec, family, grid)
     rank_one = family.is_rank_one(tol)
-    use_closed_form = rank_one and residual <= 1e-8
+    use_closed_form = rank_one and residual <= tol
 
     results = []
-    from .evolution import density_path
-
     for k in range(l):
         rho = family.state(k)
         if use_closed_form:
@@ -218,9 +213,7 @@ def discrepancy_report(
             results.append(discrete_holonomy(density_path(rho, spec, grid), tol))
     X = off_diagonal_invariant(results)
     diag = nu_functional(np.eye(family.dim), X, tol)
-    factor = None
-    if diag.phase_defined:
-        factor = diag.trace / abs(diag.trace)
+    factor = phase_factor(diag.trace, 1.0, tol)  # A = I, as in nu above
     difference = None
     if gamma.defined and diag.phase_defined:
         difference = wrap_angle(gamma.phase - diag.phase)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, GridMiss, NotUnitary, OutOfRange
-from .linalg import DEFAULT_TOL, as_square_matrix, dagger, eigh_exp, first_norm_above
+from .linalg import DEFAULT_TOL, as_square_matrix, dagger, eigh_exp, first_norm_above, hermitian_eigh
 from .state import PATH_CHUNK, DensityOperator, DensityPath
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "RotatingFrame",
     "SampledUnitaries",
     "TimeGrid",
+    "time_slack",
     "unitary_at",
     "rotating_generator",
     "density_path",
@@ -30,9 +31,9 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _T_ATOL = 1e-12
 
 
-def _hermitian_eigh(H: np.ndarray) -> tuple:
-    """Eigen-data of the symmetrised generator, the input ``unitary_exp`` uses."""
-    return np.linalg.eigh((H + dagger(H)) / 2)
+def time_slack(tau: float) -> float:
+    """The one time tolerance on [0, tau]: times this close to a point match it."""
+    return _T_ATOL * max(1.0, tau)
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("a time grid needs at least two points")
-        if abs(t[0]) > _T_ATOL:
+        if abs(t[0]) > time_slack(t[-1]):
             raise ValueError("time grid must start at 0")
         if np.any(np.diff(t) <= 0):
             raise ValueError("time grid must be strictly increasing")
@@ -76,12 +77,12 @@ class StaticHamiltonian:
 
     def __post_init__(self):
         H = as_square_matrix(self.hamiltonian)
-        if first_norm_above(H - dagger(H), 1e-9) is not None:
+        if first_norm_above(H - dagger(H), DEFAULT_TOL) is not None:
             raise ValueError("static Hamiltonian must be Hermitian")
         if self.tau < 0:
             raise ValueError("tau must be non-negative")
         object.__setattr__(self, "hamiltonian", H)
-        object.__setattr__(self, "_eigh", _hermitian_eigh(H))
+        object.__setattr__(self, "_eigh", hermitian_eigh(H))
 
     @property
     def dim(self) -> int:
@@ -116,8 +117,8 @@ class RotatingFrame:
             raise ValueError("the driven subsystem must be a qubit")
         if self.tau < 0:
             raise ValueError("tau must be non-negative")
-        object.__setattr__(self, "_eigh", _hermitian_eigh(self.effective_hamiltonian))
-        object.__setattr__(self, "_sigma_z_eigh", _hermitian_eigh(SIGMA_Z))
+        object.__setattr__(self, "_eigh", hermitian_eigh(self.effective_hamiltonian))
+        object.__setattr__(self, "_sigma_z_eigh", hermitian_eigh(SIGMA_Z))
 
     @classmethod
     def spin_flipper(cls, u: float = 1.0) -> "RotatingFrame":
@@ -168,7 +169,7 @@ class SampledUnitaries:
 
     def sample_index(self, t: float) -> int:
         """Index of the sample taken at time t; GridMiss when there is none."""
-        return _sample_index(self.grid.times, t, _T_ATOL * max(1.0, self.tau))
+        return _sample_index(self.grid.times, t, time_slack(self.tau))
 
 
 EvolutionSpec = StaticHamiltonian | RotatingFrame | SampledUnitaries
@@ -181,7 +182,8 @@ def _on_driven_qubit(a: np.ndarray, m: int) -> np.ndarray:
 
 
 def _check_time(spec, t: float) -> None:
-    if t < -_T_ATOL or t > spec.tau + max(_T_ATOL, 1e-12 * spec.tau):
+    slack = time_slack(spec.tau)
+    if t < -slack or t > spec.tau + slack:
         raise OutOfRange(f"t = {t!r} outside [0, {spec.tau!r}]")
 
 
@@ -246,4 +248,4 @@ def density_path(rho0: DensityOperator, spec: EvolutionSpec, grid: TimeGrid) -> 
             us = np.array([unitary_at(spec, float(t)) for t in times[start:start + PATH_CHUNK]])
             yield us @ rho0.matrix @ dagger(us)
 
-    return DensityPath.from_matrices(chunks(), spec.dim, tol=rho0.tol)
+    return DensityPath.from_matrices(chunks(), spec.dim)

@@ -23,6 +23,7 @@ __all__ = [
     "op_norm",
     "first_norm_above",
     "kept_directions",
+    "hermitian_eigh",
     "hermitian_sqrt",
     "eigh_root",
     "eigh_exp",
@@ -93,6 +94,11 @@ def kept_directions(values: np.ndarray, tol: float) -> np.ndarray:
     return values > tol * values.max(axis=-1, keepdims=True, initial=0.0)
 
 
+def hermitian_eigh(M: np.ndarray) -> tuple:
+    """``np.linalg.eigh`` of the Hermitian part (M + M^dag) / 2."""
+    return np.linalg.eigh((M + dagger(M)) / 2)
+
+
 def hermitian_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition.
 
@@ -104,7 +110,7 @@ def hermitian_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     skew = first_norm_above(M - dagger(M), tol)
     if skew is not None:
         raise NotHermitian(f"||M - M^dag|| = {skew[1]:.3e} > tol = {tol:.3e}")
-    w, V = np.linalg.eigh((M + dagger(M)) / 2)
+    w, V = hermitian_eigh(M)
     if w[0] < -tol:
         raise NotPSD(f"eigenvalue {w[0]:.3e} < -tol = {-tol:.3e}")
     return eigh_root(np.clip(w, 0.0, None), V)
@@ -208,7 +214,7 @@ def unitary_exp(H, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     skew = first_norm_above(H - dagger(H), tol)
     if skew is not None:
         raise NotHermitian(f"generator deviates from Hermitian by {skew[1]:.3e}")
-    return eigh_exp(*np.linalg.eigh((H + dagger(H)) / 2), t)
+    return eigh_exp(*hermitian_eigh(H), t)
 
 
 def validate_density(m, tol: float = DEFAULT_TOL):

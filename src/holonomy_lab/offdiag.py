@@ -4,7 +4,8 @@ An order-l invariant is the ordered product of l single-path holonomy
 invariants W(tau) W^dag(0). Its trace functional can vanish (a nodal
 point); orthogonal left and right supports force that, and the diagnosis
 below reports the overlap alongside the phase. An undefined phase is a
-reported value, never an exception.
+reported value, never an exception; ``phase_factor`` is the one rule
+that decides it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "NodalDiagnosis",
     "off_diagonal_invariant",
     "support_overlap",
+    "phase_factor",
     "nu_functional",
     "holonomy_isometry",
     "alternative_ordering",
@@ -73,10 +75,22 @@ def principal_angle(z: complex) -> float:
     return math.atan2(im, z.real)
 
 
-def _invariant_matrix(result) -> np.ndarray:
-    if isinstance(result, TransportResult):
-        return result.invariant
-    return as_square_matrix(result)
+def phase_factor(trace: complex, bound: float, tol: float) -> complex | None:
+    """The one phase-defined rule: Tr(A X) / |Tr(A X)| if |Tr(A X)| > tol * ||A||, else None.
+
+    ``bound`` is ||A||. Invariants and interferometric products have trace
+    norm <= 1, so by Hoelder's inequality ||A|| is the largest attainable
+    |Tr(A X)|.
+    """
+    magnitude = abs(trace)
+    return trace / magnitude if magnitude > tol * bound else None
+
+
+def _operator(X) -> np.ndarray:
+    """The matrix of an invariant, a transport result's invariant, or a raw matrix."""
+    if isinstance(X, OffDiagInvariant):
+        return X.operator
+    return X.invariant if isinstance(X, TransportResult) else as_square_matrix(X)
 
 
 def off_diagonal_invariant(results, indices=None) -> OffDiagInvariant:
@@ -84,7 +98,7 @@ def off_diagonal_invariant(results, indices=None) -> OffDiagInvariant:
 
     Order 1 reduces exactly to the single-path holonomy invariant.
     """
-    mats = [_invariant_matrix(r) for r in results]
+    mats = [_operator(r) for r in results]
     if not mats:
         raise ValueError("need at least one transport result")
     dim = mats[0].shape[0]
@@ -106,7 +120,7 @@ def off_diagonal_invariant(results, indices=None) -> OffDiagInvariant:
 
 def support_overlap(X, tol: float = DEFAULT_TOL) -> float:
     """Operator norm of P_left P_right for the supports of X X^dag and X^dag X."""
-    op = X.operator if isinstance(X, OffDiagInvariant) else as_square_matrix(X)
+    op = _operator(X)
     p_left = support_projector(op @ dagger(op), tol)
     p_right = support_projector(dagger(op) @ op, tol)
     return op_norm(p_left @ p_right)
@@ -115,18 +129,18 @@ def support_overlap(X, tol: float = DEFAULT_TOL) -> float:
 def nu_functional(A, X, tol: float = DEFAULT_TOL) -> NodalDiagnosis:
     """Phase functional arg Tr[A X] with explicit nodal diagnosis.
 
-    The phase counts as defined when |Tr[A X]| exceeds tol * dim. The
-    support overlap is a property of X alone and is reported regardless
-    of A.
+    The phase counts as defined by ``phase_factor``: when |Tr[A X]|
+    exceeds tol * ||A||. The support overlap is a property of X alone and
+    is reported regardless of A.
     """
-    op = X.operator if isinstance(X, OffDiagInvariant) else as_square_matrix(X)
+    op = _operator(X)
     A = as_square_matrix(A)
     if A.shape != op.shape:
         raise DimensionMismatch(f"observable shape {A.shape} vs invariant {op.shape}")
     trace = complex(np.trace(A @ op))
     magnitude = abs(trace)
     overlap = support_overlap(op, tol)
-    defined = magnitude > tol * op.shape[0]
+    defined = phase_factor(trace, op_norm(A), tol) is not None
     phase = principal_angle(trace) if defined else None
     return NodalDiagnosis(
         trace=trace,
@@ -144,7 +158,7 @@ def holonomy_isometry(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     (``polar-consistency``) cross-checks it against the routes through
     (X^dag X)^{1/2} and (X X^dag)^{1/2}.
     """
-    op = X.operator if isinstance(X, OffDiagInvariant) else as_square_matrix(X)
+    op = _operator(X)
     if op_norm(op) <= tol:
         raise ZeroOperator("cannot extract an isometry from a vanishing invariant")
     return polar_isometry(op, tol)
@@ -164,7 +178,7 @@ def alternative_ordering(results, indices=None) -> np.ndarray:
     dim = first.initial_amplitude.shape[0]
     middle = np.eye(dim, dtype=complex)
     for r in results[1:]:
-        m = _invariant_matrix(r)
+        m = _operator(r)
         if m.shape[0] != dim:
             raise DimensionMismatch("constituent invariants differ in dimension")
         middle = middle @ m

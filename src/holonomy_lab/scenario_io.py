@@ -15,7 +15,7 @@ import numpy as np
 import yaml
 
 from .errors import GridMiss, InvalidState, ScenarioFormatError
-from .evolution import RotatingFrame, SampledUnitaries, StaticHamiltonian, TimeGrid
+from .evolution import RotatingFrame, SampledUnitaries, StaticHamiltonian, TimeGrid, time_slack
 from .linalg import DEFAULT_TOL, is_orthonormal
 from .scenarios import BellScenario, bell_mixture
 from .state import DensityOperator
@@ -114,7 +114,7 @@ def _as_vector(value, fieldname: str) -> np.ndarray:
     return np.array([_as_complex(v, f"{fieldname}[{j}]") for j, v in enumerate(value)], dtype=complex)
 
 
-def _parse_state(entry, fieldname: str, tol: float) -> DensityOperator:
+def _parse_state(entry, fieldname: str) -> DensityOperator:
     if not isinstance(entry, dict):
         _fail(fieldname, "expected a mapping describing one state")
     try:
@@ -127,9 +127,9 @@ def _parse_state(entry, fieldname: str, tol: float) -> DensityOperator:
                 return DensityOperator.maximally_mixed(dim)
             _fail(f"{fieldname}.preset", f"unknown state preset {preset!r}")
         if "matrix" in entry:
-            return DensityOperator(_as_matrix(entry["matrix"], f"{fieldname}.matrix"), tol=tol)
+            return DensityOperator(_as_matrix(entry["matrix"], f"{fieldname}.matrix"))
         if "vector" in entry:
-            return DensityOperator.pure(_as_vector(entry["vector"], f"{fieldname}.vector"), tol=tol)
+            return DensityOperator.pure(_as_vector(entry["vector"], f"{fieldname}.vector"))
         if "eigenvalues" in entry:
             lam = [
                 _as_number(v, f"{fieldname}.eigenvalues[{i}]")
@@ -144,7 +144,7 @@ def _parse_state(entry, fieldname: str, tol: float) -> DensityOperator:
             if not is_orthonormal(V):
                 _fail(f"{fieldname}.eigenvectors", "must be orthonormal")
             m = (V * np.asarray(lam)) @ V.conj().T
-            return DensityOperator(m, tol=tol)
+            return DensityOperator(m)
     except InvalidState as exc:
         _fail(fieldname, str(exc))
     _fail(fieldname, "needs one of: preset, matrix, vector, eigenvalues")
@@ -196,7 +196,7 @@ def _parse_grid(data, spec) -> TimeGrid:
         _fail("grid", "expected a mapping")
     n_steps = _as_int(grid_entry.get("n_steps", 1000), "grid.n_steps")
     tau = _as_number(grid_entry.get("tau", spec.tau), "grid.tau")
-    if tau > spec.tau + 1e-12:
+    if tau > spec.tau + time_slack(spec.tau):
         _fail("grid.tau", f"grid end {tau} exceeds evolution duration {spec.tau}")
     try:
         grid = TimeGrid.uniform(tau, n_steps)
@@ -231,7 +231,6 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
             tolerances[k] = as_tolerance(v, f"tolerances.{k}")
     tolerances.setdefault("phase", base_tol)
     tolerances.setdefault("transport", base_tol)
-    tol = tolerances["transport"]
 
     cfg = ScenarioConfig(name=name, tolerances=tolerances)
 
@@ -254,7 +253,7 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
     states_entry = data.get("states")
     if not isinstance(states_entry, list) or not states_entry:
         _fail("states", "expected a non-empty list of state specs")
-    cfg.states = [_parse_state(s, f"states[{i}]", tol) for i, s in enumerate(states_entry)]
+    cfg.states = [_parse_state(s, f"states[{i}]") for i, s in enumerate(states_entry)]
     dims = {rho.dim for rho in cfg.states}
     if len(dims) != 1:
         _fail("states", f"states differ in dimension: {sorted(dims)}")

@@ -20,6 +20,8 @@ from .evolution import (
     RotatingFrame,
     StaticHamiltonian,
     TimeGrid,
+    density_path,
+    time_slack,
 )
 from .linalg import DEFAULT_TOL, dagger, op_norm
 from .offdiag import nu_functional, off_diagonal_invariant
@@ -158,7 +160,8 @@ def closed_form_B_r1(s: BellScenario, t: float) -> np.ndarray:
     """
     if s.variant != "rotating":
         raise WrongVariant("closed_form_B_r1 belongs to the rotating variant")
-    if t < -1e-12 or t > s.tau + 1e-12:
+    slack = time_slack(s.tau)
+    if t < -slack or t > s.tau + slack:
         raise ValueError(f"t = {t!r} outside [0, {s.tau!r}]")
     psi_plus, psi_minus, _, _ = bell_basis()
     return _plane_gauge(gauge_angle(s, t), psi_plus, psi_minus)
@@ -245,8 +248,6 @@ def run_bell_scenario(
     grid = TimeGrid.uniform(s.tau, s.n_steps)
     rho1 = bell_mixture(s.epsilon)
     rho2 = _rho2_initial(s) if reference_state is None else reference_state
-
-    from .evolution import density_path
 
     r1 = discrete_holonomy(density_path(rho1, spec, grid), tol)
     r2 = discrete_holonomy(density_path(rho2, spec, grid), tol)

@@ -46,35 +46,34 @@ class DensityOperator:
     """Hermitian, positive semidefinite, unit-trace operator.
 
     Eigen-data is computed once on first use and cached; instances are
-    treated as immutable values.
+    treated as immutable values. The input is checked at ``DEFAULT_TOL``;
+    a state carries no tolerance of its own.
     """
 
-    def __init__(self, matrix, tol: float = DEFAULT_TOL):
-        matrix, w, V = validate_density(matrix, tol)
+    def __init__(self, matrix):
+        matrix, w, V = validate_density(matrix)
         self.matrix = matrix
         self.dim = matrix.shape[0]
-        self.tol = tol
         self._eigs = (np.clip(w, 0.0, 1.0), V)
 
     @classmethod
-    def _from_eigs(cls, w: np.ndarray, V: np.ndarray, tol: float) -> "DensityOperator":
+    def _from_eigs(cls, w: np.ndarray, V: np.ndarray) -> "DensityOperator":
         """Wrap eigen-data that already passed validation and clipping."""
         rho = cls.__new__(cls)
         matrix = (V * w) @ dagger(V)
         rho.matrix = (matrix + dagger(matrix)) / 2
         rho.dim = V.shape[0]
-        rho.tol = tol
         rho._eigs = (w, V)
         return rho
 
     @classmethod
-    def pure(cls, vector, tol: float = DEFAULT_TOL) -> "DensityOperator":
+    def pure(cls, vector) -> "DensityOperator":
         v = np.asarray(vector, dtype=complex).reshape(-1)
         n = np.linalg.norm(v)
         if n == 0.0:
             raise InvalidState("cannot build a state from the zero vector")
         v = v / n
-        return cls(np.outer(v, v.conj()), tol=tol)
+        return cls(np.outer(v, v.conj()))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
@@ -94,14 +93,13 @@ class DensityOperator:
     def sqrt(self) -> np.ndarray:
         return eigh_root(*self._eigs)
 
-    def rank(self, tol: float | None = None) -> int:
-        tol = self.tol if tol is None else tol
+    def rank(self, tol: float = DEFAULT_TOL) -> int:
         return int(np.count_nonzero(kept_directions(self.eigenvalues, tol)))
 
     @cached_property
     def support(self) -> np.ndarray:
         """Projector onto the range (eigenvectors of ``kept_directions``)."""
-        return support_power(*self._eigs, 0, self.tol)
+        return support_power(*self._eigs, 0)
 
     def __repr__(self):
         return f"DensityOperator(dim={self.dim}, rank={self.rank()})"
@@ -171,13 +169,12 @@ class DensityPath:
     ``from_states`` reuses the eigen-data of validated states.
     """
 
-    def __init__(self, w: np.ndarray, V: np.ndarray, tol: float = DEFAULT_TOL):
+    def __init__(self, w: np.ndarray, V: np.ndarray):
         self.w = w
         self.V = V
-        self.tol = tol
 
     @classmethod
-    def from_matrices(cls, chunks, dim: int, tol: float = DEFAULT_TOL) -> "DensityPath":
+    def from_matrices(cls, chunks, dim: int) -> "DensityPath":
         """Validate (k, dim, dim) stacks of density matrices, one stack at a time.
 
         The stacks go through ``chunk_pipeline``, so at large ``dim`` one
@@ -185,25 +182,22 @@ class DensityPath:
         """
 
         def validated(chunk):
-            _, w, V = validate_density(chunk, tol)
+            _, w, V = validate_density(chunk)
             return np.clip(w, 0.0, 1.0), V
 
         with chunk_pipeline(validated, chunks, dim) as results:
             ws, Vs = zip(*results)
-        return cls(np.concatenate(ws), np.concatenate(Vs), tol)
+        return cls(np.concatenate(ws), np.concatenate(Vs))
 
     @classmethod
     def from_states(cls, states) -> "DensityPath":
-        """Stack the eigen-data of a sequence of ``DensityOperator`` values.
-
-        The tolerance of the first state becomes the path's.
-        """
+        """Stack the eigen-data of a sequence of ``DensityOperator`` values."""
         dim = states[0].dim
         if any(rho.dim != dim for rho in states):
             raise DimensionMismatch("path states differ in dimension")
         w = np.array([rho.eigenvalues for rho in states])
         V = np.array([rho.eigenvectors for rho in states])
-        return cls(w, V, states[0].tol)
+        return cls(w, V)
 
     @property
     def dim(self) -> int:
@@ -214,7 +208,7 @@ class DensityPath:
 
     def __getitem__(self, k) -> DensityOperator:
         k = range(len(self))[operator.index(k)]
-        return DensityOperator._from_eigs(self.w[k], self.V[k], self.tol)
+        return DensityOperator._from_eigs(self.w[k], self.V[k])
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))
@@ -234,10 +228,10 @@ class Amplitude:
     hold their amplitudes as plain matrices.
     """
 
-    def __init__(self, matrix, tol: float = DEFAULT_TOL):
+    def __init__(self, matrix):
         matrix = as_square_matrix(matrix)
         # Raises InvalidState when W W^dag is not a density operator.
-        self._state = DensityOperator(matrix @ dagger(matrix), tol=tol)
+        self._state = DensityOperator(matrix @ dagger(matrix))
         self.matrix = matrix
         self.dim = matrix.shape[0]
 
@@ -251,9 +245,9 @@ class Amplitude:
 class GaugeIsometry:
     """Validated partial isometry used as a t-independent gauge."""
 
-    def __init__(self, matrix, tol: float = DEFAULT_TOL):
+    def __init__(self, matrix):
         matrix = as_square_matrix(matrix)
-        if not is_partial_isometry(matrix, tol):
+        if not is_partial_isometry(matrix):
             raise InvalidState("gauge matrix is not a partial isometry")
         self.matrix = matrix
         self.dim = matrix.shape[0]
@@ -263,10 +257,10 @@ def standard_purification(rho: DensityOperator) -> Amplitude:
     """The amplitude rho^{1/2}, i.e. phase factor = identity on the support."""
     if not isinstance(rho, DensityOperator):
         rho = DensityOperator(rho)
-    return Amplitude(rho.sqrt, rho.tol)
+    return Amplitude(rho.sqrt)
 
 
-def apply_gauge(W: Amplitude, S: GaugeIsometry, tol: float = DEFAULT_TOL) -> Amplitude:
+def apply_gauge(W: Amplitude, S: GaugeIsometry) -> Amplitude:
     """Right-multiply an amplitude by a gauge isometry, W -> W S.
 
     Raises SupportMismatch when the gauged amplitude no longer purifies
@@ -276,7 +270,7 @@ def apply_gauge(W: Amplitude, S: GaugeIsometry, tol: float = DEFAULT_TOL) -> Amp
     if W.dim != S.dim:
         raise DimensionMismatch(f"amplitude dim {W.dim} vs gauge dim {S.dim}")
     gauged = W.matrix @ S.matrix
-    drift = first_norm_above(gauged @ dagger(gauged) - W.matrix @ dagger(W.matrix), tol * W.dim)
+    drift = first_norm_above(gauged @ dagger(gauged) - W.matrix @ dagger(W.matrix), DEFAULT_TOL * W.dim)
     if drift is not None:
         raise SupportMismatch(f"gauged amplitude changes the state by {drift[1]:.3e}")
     return Amplitude(gauged)

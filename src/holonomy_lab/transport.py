@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooCoarse, OrthogonalStep
-from .evolution import EvolutionSpec, TimeGrid, unitary_at
+from .evolution import EvolutionSpec, TimeGrid, density_path, unitary_at
 from .linalg import (
     DEFAULT_TOL,
     as_square_matrix,
@@ -71,7 +71,7 @@ class AncillaGauge:
         if len(samples) != self.grid.times.size:
             raise ValueError("one gauge sample per grid time is required")
         for k, B in enumerate(samples):
-            if not is_partial_isometry(B, 1e-8):
+            if not is_partial_isometry(B, DEFAULT_TOL * B.shape[0]):
                 raise ValueError(f"gauge sample {k} is not a partial isometry")
 
 
@@ -155,7 +155,7 @@ def _derivatives(samples: np.ndarray, dt: float) -> np.ndarray:
 
 def _uniform_dt(grid: TimeGrid) -> float:
     steps = np.diff(grid.times)
-    if steps.size and (steps.max() - steps.min()) > 1e-9 * steps.max():
+    if steps.size and (steps.max() - steps.min()) > DEFAULT_TOL * steps.max():
         raise ValueError("finite differences need a uniform grid")
     return float(steps[0])
 
@@ -219,8 +219,6 @@ def solve_ancilla_gauge(
     rank-deficient rho0 the off-support block is undetermined; the gauge
     is flagged rather than rejected.
     """
-    from .evolution import density_path
-
     path = density_path(rho0, spec, grid)
     _, amps = _transport(path, tol, keep_amplitudes=True)
     pinv_root = support_power(rho0.eigenvalues, rho0.eigenvectors, -0.5, tol)

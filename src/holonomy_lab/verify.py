@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compare import _closed_form_result
+from .compare import PermutedFamily, _closed_form_result, interferometric_offdiag_phase
 from .evolution import (
     RotatingFrame,
     StaticHamiltonian,
@@ -39,6 +39,7 @@ from .offdiag import (
 )
 from .scenarios import (
     BellScenario,
+    _rho2_initial,
     bell_basis,
     bell_mixture,
     closed_form_B_r1,
@@ -47,7 +48,7 @@ from .scenarios import (
     run_bell_scenario,
     spin_flip_unitary,
 )
-from .state import DensityOperator, GaugeIsometry, apply_gauge, standard_purification
+from .state import DensityOperator, GaugeIsometry, apply_gauge, parallelity_residual, standard_purification
 from .transport import AncillaGauge, discrete_holonomy, transport_equation_residual
 
 __all__ = ["PropertyResult", "run_properties", "property_groups"]
@@ -244,8 +245,6 @@ def check_purification(rng):
         gauged = apply_gauge(W, S)
         worst_gauge = max(worst_gauge, op_norm(gauged.matrix @ dagger(gauged.matrix) - rho.matrix))
         W2 = _random_unitary(rng, dim) @ _random_density(rng, dim).sqrt
-        from .state import parallelity_residual
-
         worst_sym = max(worst_sym, abs(parallelity_residual(W, W2) - parallelity_residual(W2, W)))
     return [
         _result("purification", "state-recovery", worst_state, 1e-12),
@@ -448,8 +447,6 @@ def check_pure_state_reduction(rng):
 # compare
 
 def check_interferometric_pure(rng):
-    from .compare import PermutedFamily, interferometric_offdiag_phase
-
     worst = 0.0
     for _ in range(10):
         dim = int(rng.integers(3, 5))
@@ -474,8 +471,6 @@ def check_interferometric_pure(rng):
 
 def check_global_phase(rng):
     """gamma^(l) picks up exactly l times a global phase on U."""
-    from .compare import PermutedFamily, interferometric_offdiag_phase
-
     dim = 4
     Q = np.linalg.qr(_random_complex(rng, dim))[0]
     lam = np.array([0.4, 0.3, 0.2, 0.1])
@@ -579,8 +574,6 @@ def check_reference_return(rng):
     spec = evolution_spec(s)
     rho1 = bell_mixture(s.epsilon)
     grid = TimeGrid.uniform(s.tau, 32)
-    from .scenarios import _rho2_initial
-
     rho2_path = density_path(_rho2_initial(s), spec, grid)
     err = op_norm(rho2_path[-1].matrix - rho1.matrix)
     return [_result("reference-return", "flip-returns-reference", err, 1e-10)]

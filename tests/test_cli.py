@@ -310,10 +310,11 @@ def test_sweep_unknown_parameter(capsys):
 
 
 def test_sweep_honours_tolerance(capsys):
-    # Like run, a tolerance of 0.2 leaves the phase of X12 undefined.
+    # Like run, a tolerance of 0.6 leaves the phase of X12 undefined: at most
+    # |Tr X12| = 5/9 < 0.6 * ||I||.
     code, out, _ = run_cli(
         capsys, "sweep", "--scenario", "bell-static", "--parameter", "epsilon",
-        "--values", "0.5", "--tol", "0.2",
+        "--values", "0.5", "--tol", "0.6",
     )
     assert code == 0
     assert out.splitlines()[1].split(",")[3] == "undefined"
@@ -377,8 +378,8 @@ def test_shipped_example_scenario(capsys):
 
 
 def test_env_var_sets_global_tolerance(capsys, monkeypatch):
-    # A huge global tolerance pushes |Tr X12| below the phase threshold.
-    monkeypatch.setenv("HOLONOMY_LAB_TOL", "0.2")
+    # A huge global tolerance pushes |Tr X12| <= 5/9 below the phase threshold.
+    monkeypatch.setenv("HOLONOMY_LAB_TOL", "0.6")
     code, out, _ = run_cli(
         capsys, "run", "--scenario", "bell-static", "--steps", "50", "--format", "json"
     )
@@ -406,6 +407,25 @@ def test_run_tolerance_near_one_truncates_to_rank_one(capsys):
     # X12 is the product of the rank-1 truncations onto Psi- and Phi+.
     assert abs(complex(*by_name["X12"]["trace"]) - (-4 / 9)) < 1e-9
     assert abs(by_name["X1"]["closed_form_error"] - 1 / 3) < 1e-9
+
+
+def test_run_phase_threshold_is_relative_to_the_observable_norm(capsys):
+    # At tol 0.4 both Bell mixtures keep rank 2 and |Tr X12| = 5/9 > 0.4 * ||I||.
+    code, out, err = run_cli(capsys, "run", "--scenario", "bell-static", "--tol", "0.4", "--format", "json")
+    assert (code, err) == (0, "")
+    x12 = json.loads(out)["invariants"][2]
+    assert abs(x12["trace_magnitude"] - 5 / 9) < 1e-9
+    assert x12["nu"] == pytest.approx(np.pi, abs=1e-12)
+
+
+def test_run_checks_file_states_at_the_fixed_slack(tmp_path, capsys):
+    # A large --tol loosens decisions, never the check that a state has unit trace.
+    path = tmp_path / "trace.yaml"
+    path.write_text(
+        "format_version: 1\nstates:\n  - matrix: [[0.9, 0], [0, 0.5]]\n" + _STATIC_QUBIT, encoding="utf-8"
+    )
+    code, out, err = run_cli(capsys, "run", "--scenario", str(path), "--tol", "0.5")
+    assert (code, out, err) == (1, "", "error: states[0]: density matrix trace must be 1, got 1.4\n")
 
 
 _BAD_TOLERANCES = ["0", "-1", "1", "1.5", "inf", "nan"]

@@ -12,6 +12,7 @@ from holonomy_lab.evolution import (
     TimeGrid,
     density_path,
     rotating_generator,
+    time_slack,
     unitary_at,
 )
 from holonomy_lab.linalg import op_norm, unitary_exp
@@ -70,6 +71,27 @@ def test_out_of_range():
         unitary_at(spec, 1.5)
     with pytest.raises(OutOfRange):
         unitary_at(spec, -0.2)
+
+
+def test_one_time_slack_at_both_ends():
+    # On a long interval every time check accepts half the slack and rejects twice it.
+    from holonomy_lab.scenarios import BellScenario, closed_form_B_r1
+
+    s = BellScenario(epsilon=0.5, variant="rotating", u=0.01)
+    spec = StaticHamiltonian(SIGMA_Z, tau=s.tau)
+    slack = time_slack(s.tau)
+    assert slack == pytest.approx(1e-12 * s.tau)
+    TimeGrid(np.array([0.5 * slack, s.tau]))
+    with pytest.raises(ValueError, match="start at 0"):
+        TimeGrid(np.array([2 * slack, s.tau]))
+    for t in (-0.5 * slack, s.tau + 0.5 * slack):
+        unitary_at(spec, t)
+        closed_form_B_r1(s, t)
+    for t in (-2 * slack, s.tau + 2 * slack):
+        with pytest.raises(OutOfRange):
+            unitary_at(spec, t)
+        with pytest.raises(ValueError, match="outside"):
+            closed_form_B_r1(s, t)
 
 
 def test_sampled_lookup_and_grid_miss():

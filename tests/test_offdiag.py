@@ -115,6 +115,17 @@ def test_nu_with_general_observable():
     assert not diag.phase_defined
 
 
+@pytest.mark.parametrize("c", [0.01, 1.0, 100.0])
+def test_nu_threshold_scales_with_the_observable(c):
+    # |Tr(c X12)| = 5c/9 against tol * ||c I|| = tol * c: the decision ignores c.
+    usf = usf_matrix()
+    X12 = usf @ rho1_matrix(0.5) @ usf @ rho1_tau_matrix(0.5)
+    defined = nu_functional(c * np.eye(4), X12, tol=0.5)
+    assert defined.phase_defined
+    assert defined.phase == pytest.approx(np.pi, abs=1e-12)
+    assert not nu_functional(c * np.eye(4), X12, tol=0.6).phase_defined
+
+
 def test_support_overlap_values():
     assert support_overlap(usf_matrix() @ rho1_matrix(0.5)) < 1e-12
     full = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
