@@ -21,6 +21,7 @@ from .errors import (
     NegativeWeight,
     ScenarioFormatError,
     UnknownParameter,
+    ZeroOperator,
 )
 from .evolution import density_path
 from .linalg import DEFAULT_TOL
@@ -92,6 +93,14 @@ def _phase_entry(diag) -> object:
     return diag.phase if diag.phase_defined else UNDEFINED
 
 
+def _isometry_entry(X, tol: float) -> object:
+    """The holonomy isometry of X at the transport tol; undefined when ||X|| <= tol."""
+    try:
+        return encode_matrix(holonomy_isometry(X, tol))
+    except ZeroOperator:
+        return UNDEFINED
+
+
 def _diag_block(diag, closed_form_error=None):
     block = {
         "trace": encode_complex(diag.trace),
@@ -128,7 +137,7 @@ def _report_preset(cfg: ScenarioConfig, dump_isometry: bool) -> dict:
         block = {"name": name, "indices": indices}
         block.update(_diag_block(rep.diagnoses[name], rep.closed_form_errors[name]))
         if dump_isometry:
-            block["isometry"] = encode_matrix(holonomy_isometry(getattr(rep, name)))
+            block["isometry"] = _isometry_entry(getattr(rep, name), cfg.tolerances["transport"])
         invariants.append(block)
     report = {
         "format_version": 1,
@@ -189,7 +198,7 @@ def _report_generic(cfg: ScenarioConfig, dump_isometry: bool) -> dict:
             block[f"nu[{obs_name}]"] = _phase_entry(obs)
             block[f"trace[{obs_name}]"] = encode_complex(obs.trace)
         if dump_isometry:
-            block["isometry"] = encode_matrix(holonomy_isometry(X, tol))
+            block["isometry"] = _isometry_entry(X, tol)
         invariants.append(block)
     return {
         "format_version": 1,

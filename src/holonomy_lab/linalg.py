@@ -99,20 +99,20 @@ def hermitian_eigh(M: np.ndarray) -> tuple:
     return np.linalg.eigh((M + dagger(M)) / 2)
 
 
-def hermitian_sqrt(M, tol: float = DEFAULT_TOL) -> np.ndarray:
+def hermitian_sqrt(M) -> np.ndarray:
     """Hermitian PSD square root via eigendecomposition.
 
-    Eigenvalues in [-tol, 0) are clamped to zero (round-off safety);
+    Eigenvalues in [-DEFAULT_TOL, 0) are clamped to zero (round-off safety);
     anything more negative raises NotPSD. The result R is Hermitian,
     commutes with M, and satisfies R @ R = M up to round-off.
     """
     M = as_square_matrix(M)
-    skew = first_norm_above(M - dagger(M), tol)
+    skew = first_norm_above(M - dagger(M), DEFAULT_TOL)
     if skew is not None:
-        raise NotHermitian(f"||M - M^dag|| = {skew[1]:.3e} > tol = {tol:.3e}")
+        raise NotHermitian(f"||M - M^dag|| = {skew[1]:.3e} > tol = {DEFAULT_TOL:.3e}")
     w, V = hermitian_eigh(M)
-    if w[0] < -tol:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} < -tol = {-tol:.3e}")
+    if w[0] < -DEFAULT_TOL:
+        raise NotPSD(f"eigenvalue {w[0]:.3e} < -tol = {-DEFAULT_TOL:.3e}")
     return eigh_root(np.clip(w, 0.0, None), V)
 
 
@@ -200,30 +200,31 @@ def is_partial_isometry(S, tol: float = DEFAULT_TOL) -> bool:
     return first_norm_above(S @ dagger(S) @ S - S, tol) is None
 
 
-def is_orthonormal(V: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the columns of V are orthonormal: ||V^dag V - I|| <= tol."""
-    return first_norm_above(dagger(V) @ V - np.eye(V.shape[1]), tol) is None
+def is_orthonormal(V: np.ndarray) -> bool:
+    """True iff the columns of V are orthonormal: ||V^dag V - I|| <= DEFAULT_TOL."""
+    return first_norm_above(dagger(V) @ V - np.eye(V.shape[1]), DEFAULT_TOL) is None
 
 
-def unitary_exp(H, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+def unitary_exp(H, t: float) -> np.ndarray:
     """exp(-i t H) for Hermitian H, computed by eigendecomposition.
 
     Exact for this problem class; no series or scaling-squaring.
     """
     H = as_square_matrix(H)
-    skew = first_norm_above(H - dagger(H), tol)
+    skew = first_norm_above(H - dagger(H), DEFAULT_TOL)
     if skew is not None:
         raise NotHermitian(f"generator deviates from Hermitian by {skew[1]:.3e}")
     return eigh_exp(*hermitian_eigh(H), t)
 
 
-def validate_density(m, tol: float = DEFAULT_TOL):
+def validate_density(m):
     """Check that m is a density matrix; return it symmetrised with its eigh.
 
     ``m`` is one (d, d) matrix or a (k, d, d) stack; the outputs have the
     matching shapes. Raises InvalidState unless every matrix is
-    Hermitian, has no eigenvalue below -tol and has unit trace, each
-    within tolerance; for a stack the first failing member is reported.
+    Hermitian within ``DEFAULT_TOL``, has no eigenvalue below
+    -DEFAULT_TOL and has trace 1 within ``DEFAULT_TOL * d``; for a stack
+    the first failing member is reported.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
@@ -231,16 +232,16 @@ def validate_density(m, tol: float = DEFAULT_TOL):
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     stack = m if m.ndim == 3 else m[None]
-    skew = first_norm_above(stack - dagger(stack), tol)
+    skew = first_norm_above(stack - dagger(stack), DEFAULT_TOL)
     if skew is not None:
         raise InvalidState(f"density matrix not Hermitian (defect {skew[1]:.3e})")
     stack = (stack + dagger(stack)) / 2
     w, V = np.linalg.eigh(stack)
-    negative = np.flatnonzero(w[:, 0] < -tol)
+    negative = np.flatnonzero(w[:, 0] < -DEFAULT_TOL)
     if negative.size:
         raise InvalidState(f"density matrix has eigenvalue {w[negative[0], 0]:.3e} < -tol")
     tr = np.trace(stack, axis1=-2, axis2=-1).real
-    off = np.flatnonzero(np.abs(tr - 1.0) > tol * stack.shape[-1])
+    off = np.flatnonzero(np.abs(tr - 1.0) > DEFAULT_TOL * stack.shape[-1])
     if off.size:
         raise InvalidState(f"density matrix trace must be 1, got {float(tr[off[0]])!r}")
     if m.ndim == 2:
@@ -248,7 +249,7 @@ def validate_density(m, tol: float = DEFAULT_TOL):
     return stack, w, V
 
 
-def transition_probability(rho, sigma, tol: float = DEFAULT_TOL) -> float:
+def transition_probability(rho, sigma) -> float:
     """Transition probability (Tr[(rho^{1/2} sigma rho^{1/2})^{1/2}])^2.
 
     Evaluated through the identity with the nuclear norm of
@@ -258,7 +259,7 @@ def transition_probability(rho, sigma, tol: float = DEFAULT_TOL) -> float:
     """
     roots = []
     for state in (rho, sigma):
-        _, w, V = validate_density(getattr(state, "matrix", state), tol)
+        _, w, V = validate_density(getattr(state, "matrix", state))
         roots.append((V * np.sqrt(np.clip(w, 0.0, None))) @ dagger(V))
     if roots[0].shape != roots[1].shape:
         raise InvalidState(f"dimension mismatch: {roots[0].shape} vs {roots[1].shape}")

@@ -150,7 +150,7 @@ def _parse_state(entry, fieldname: str) -> DensityOperator:
     _fail(fieldname, "needs one of: preset, matrix, vector, eigenvalues")
 
 
-def _parse_evolution(entry, fieldname: str, dim: int | None):
+def _parse_evolution(entry, fieldname: str):
     if not isinstance(entry, dict):
         _fail(fieldname, "expected a mapping")
     variant = entry.get("variant")
@@ -264,7 +264,7 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
 
     if "evolution" not in data:
         _fail("evolution", "required for non-preset scenarios")
-    cfg.spec = _parse_evolution(data["evolution"], "evolution", dim)
+    cfg.spec = _parse_evolution(data["evolution"], "evolution")
     if cfg.spec.dim != dim:
         _fail("evolution", f"evolution dimension {cfg.spec.dim} vs states {dim}")
 

@@ -9,7 +9,6 @@ measures the failure of that condition.
 
 from __future__ import annotations
 
-import operator
 from contextlib import contextmanager
 from functools import cached_property
 
@@ -55,16 +54,6 @@ class DensityOperator:
         self.matrix = matrix
         self.dim = matrix.shape[0]
         self._eigs = (np.clip(w, 0.0, 1.0), V)
-
-    @classmethod
-    def _from_eigs(cls, w: np.ndarray, V: np.ndarray) -> "DensityOperator":
-        """Wrap eigen-data that already passed validation and clipping."""
-        rho = cls.__new__(cls)
-        matrix = (V * w) @ dagger(V)
-        rho.matrix = (matrix + dagger(matrix)) / 2
-        rho.dim = V.shape[0]
-        rho._eigs = (w, V)
-        return rho
 
     @classmethod
     def pure(cls, vector) -> "DensityOperator":
@@ -163,10 +152,9 @@ class DensityPath:
 
     Only the validated eigen-data is held: ``w`` with shape (n+1, d)
     (spectra ascending, clipped to [0, 1]) and ``V`` with shape
-    (n+1, d, d) (eigenvectors as columns). Indexing and iteration yield
-    ``DensityOperator`` values rebuilt from that data. The constructor
-    trusts its arguments; ``from_matrices`` validates raw matrices and
-    ``from_states`` reuses the eigen-data of validated states.
+    (n+1, d, d) (eigenvectors as columns); state k is ``w[k], V[k]``.
+    The constructor trusts its arguments; ``from_matrices`` validates
+    raw matrices.
     """
 
     def __init__(self, w: np.ndarray, V: np.ndarray):
@@ -189,29 +177,12 @@ class DensityPath:
             ws, Vs = zip(*results)
         return cls(np.concatenate(ws), np.concatenate(Vs))
 
-    @classmethod
-    def from_states(cls, states) -> "DensityPath":
-        """Stack the eigen-data of a sequence of ``DensityOperator`` values."""
-        dim = states[0].dim
-        if any(rho.dim != dim for rho in states):
-            raise DimensionMismatch("path states differ in dimension")
-        w = np.array([rho.eigenvalues for rho in states])
-        V = np.array([rho.eigenvectors for rho in states])
-        return cls(w, V)
-
     @property
     def dim(self) -> int:
         return self.V.shape[-1]
 
     def __len__(self) -> int:
         return self.w.shape[0]
-
-    def __getitem__(self, k) -> DensityOperator:
-        k = range(len(self))[operator.index(k)]
-        return DensityOperator._from_eigs(self.w[k], self.V[k])
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
 
     def roots(self, start: int, stop: int) -> np.ndarray:
         """Square roots of states start..stop-1 as a (stop-start, d, d) stack."""

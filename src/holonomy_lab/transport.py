@@ -9,7 +9,6 @@ times never enter, so the result depends only on the ordered states.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from .linalg import (
     as_square_matrix,
     dagger,
     eigh_root,
-    is_partial_isometry,
+    first_norm_above,
     kept_directions,
     op_norm,
     polar_isometry,
@@ -70,16 +69,23 @@ class AncillaGauge:
         object.__setattr__(self, "samples", samples)
         if len(samples) != self.grid.times.size:
             raise ValueError("one gauge sample per grid time is required")
-        for k, B in enumerate(samples):
-            if not is_partial_isometry(B, DEFAULT_TOL * B.shape[0]):
-                raise ValueError(f"gauge sample {k} is not a partial isometry")
+        dim = samples[0].shape[0]
+        if any(B.shape[0] != dim for B in samples):
+            raise ValueError("gauge samples differ in dimension")
+        stack = np.stack(samples)
+        bad = first_norm_above(stack @ dagger(stack) @ stack - stack, DEFAULT_TOL * dim)
+        if bad is not None:
+            raise ValueError(f"gauge sample {bad[0]} is not a partial isometry")
 
 
 def _transport(path, tol, keep_amplitudes):
+    if not isinstance(path, DensityPath):
+        raise TypeError(
+            f"expected a DensityPath, got {type(path).__name__}; "
+            "build one with density_path or DensityPath.from_matrices"
+        )
     if len(path) < 2:
         raise ValueError("a path needs at least two states")
-    if not isinstance(path, DensityPath):
-        path = DensityPath.from_states(path)
     n = len(path) - 1
     # Every rank decision of the transport is made at the caller's tol.
     initial = root = eigh_root(path.w[0], path.V[0])
@@ -131,15 +137,12 @@ def _transport(path, tol, keep_amplitudes):
     return (result, amps) if keep_amplitudes else result
 
 
-def discrete_holonomy(
-    path: DensityPath | Sequence[DensityOperator], tol: float = DEFAULT_TOL
-) -> TransportResult:
-    """Transport the standard purification of path[0] along the whole path.
+def discrete_holonomy(path: DensityPath, tol: float = DEFAULT_TOL) -> TransportResult:
+    """Transport the standard purification of the first state along the whole path.
 
-    ``path`` is a ``DensityPath`` or a sequence of ``DensityOperator``
-    values, which is converted to one. Raises OrthogonalStep when a
-    consecutive pair has transition probability below tol (the holonomy
-    is undefined along such paths).
+    ``path`` is a ``DensityPath``; anything else raises TypeError. Raises
+    OrthogonalStep when a consecutive pair has transition probability
+    below tol (the holonomy is undefined along such paths).
     """
     return _transport(path, tol, keep_amplitudes=False)
 

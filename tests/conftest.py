@@ -56,3 +56,9 @@ def random_density_matrix(rng, dim, rank=None):
     A = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     m = A @ A.conj().T
     return m / np.trace(m).real
+
+
+def path_matrices(path):
+    """The (n+1, d, d) density matrices of a DensityPath, rebuilt from its eigen-data."""
+    m = (path.V * path.w[:, None, :]) @ path.V.conj().swapaxes(-1, -2)
+    return (m + m.conj().swapaxes(-1, -2)) / 2

@@ -230,6 +230,34 @@ def test_run_dump_isometry(capsys):
     assert np.allclose(iso, -np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-8)
 
 
+def test_dump_isometry_of_a_vanishing_invariant_is_undefined(capsys):
+    from pathlib import Path
+
+    # At tol 0.5 every invariant of the shipped file has ||X|| <= tol
+    # (0.487, 0.473 and 0.224), while its phase threshold stays 1e-9.
+    path = Path(__file__).resolve().parent.parent / "demos" / "example_scenario.yaml"
+    code, out, _ = run_cli(
+        capsys, "run", "--scenario", str(path), "--tol", "0.5", "--format", "json", "--dump-isometry"
+    )
+    assert code == 0
+    by_name = {inv["name"]: inv for inv in json.loads(out)["invariants"]}
+    assert [by_name[n]["isometry"] for n in ("X_1", "X_2", "X_12")] == ["undefined"] * 3
+    assert angle_diff(by_name["X_12"]["nu"], np.pi) < 1e-8
+
+
+def test_dump_isometry_on_a_preset_uses_the_transport_tol(capsys):
+    # ||X1|| = ||X2|| = 2/3 > 0.5 >= ||X12|| = 4/9.
+    code, out, _ = run_cli(
+        capsys, "run", "--scenario", "bell-static", "--tol", "0.5", "--format", "json", "--dump-isometry"
+    )
+    assert code == 0
+    by_name = {inv["name"]: inv for inv in json.loads(out)["invariants"]}
+    for name in ("X1", "X2"):
+        iso = np.array([[complex(re, im) for re, im in row] for row in by_name[name]["isometry"]])
+        assert iso.shape == (4, 4) and np.allclose(iso @ iso.conj().T @ iso, iso, atol=1e-8)
+    assert by_name["X12"]["isometry"] == "undefined"
+
+
 def test_run_output_file_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -11,7 +11,7 @@ from holonomy_lab.cli import main
 from holonomy_lab.errors import OrthogonalStep
 from holonomy_lab.evolution import StaticHamiltonian, TimeGrid, density_path
 from holonomy_lab.scenarios import BellScenario, bell_mixture, evolution_spec
-from holonomy_lab.state import PATH_CHUNK, PIPELINE_MIN_DIM, DensityOperator, chunk_pipeline
+from holonomy_lab.state import PATH_CHUNK, PIPELINE_MIN_DIM, DensityOperator, DensityPath, chunk_pipeline
 from holonomy_lab.transport import discrete_holonomy
 
 from conftest import random_density_matrix, random_hermitian
@@ -76,8 +76,10 @@ def test_pipelined_orthogonal_step_in_a_later_chunk_is_named(monkeypatch):
     b = DensityOperator.pure(np.array([0.0, 1.0]))
     threads = threading.enumerate()
     # A second orthogonal step two chunks later; the first one is named.
+    matrices = np.stack([a.matrix] * (k + 1) + [b.matrix] * (2 * PATH_CHUNK) + [a.matrix] * 3)
+    path = DensityPath.from_matrices([matrices], 2)
     with pytest.raises(OrthogonalStep, match=f"between steps {k} and {k + 1}$"):
-        discrete_holonomy([a] * (k + 1) + [b] * (2 * PATH_CHUNK) + [a] * 3)
+        discrete_holonomy(path)
     assert svd_off_main
     assert threading.enumerate() == threads
 

@@ -26,14 +26,14 @@ from holonomy_lab.transport import (
     transport_equation_residual,
 )
 
-from conftest import random_density_matrix, random_hermitian, rho1_matrix, usf_matrix
+from conftest import path_matrices, random_density_matrix, random_hermitian, rho1_matrix, usf_matrix
 
 
 # ------------------------------------------------------------ discrete_holonomy
 
 def test_constant_path():
     rho = DensityOperator(rho1_matrix(0.5))
-    res = discrete_holonomy([rho, rho, rho])
+    res = discrete_holonomy(DensityPath.from_matrices([np.stack([rho.matrix] * 3)], 4))
     assert np.allclose(res.relative_phase_factor, rho.support, atol=1e-12)
     assert np.allclose(res.invariant, rho.matrix, atol=1e-12)
 
@@ -86,7 +86,8 @@ def test_invariant_structure():
     res = discrete_holonomy(path)
     V = res.relative_phase_factor
     assert is_partial_isometry(V, 1e-10)
-    rebuilt = hermitian_sqrt(path[-1].matrix) @ V @ hermitian_sqrt(path[0].matrix)
+    matrices = path_matrices(path)
+    rebuilt = hermitian_sqrt(matrices[-1]) @ V @ hermitian_sqrt(matrices[0])
     assert op_norm(res.invariant - rebuilt) < 1e-12
     assert res.n_steps == 300
     assert res.max_step_parallelity_residual <= 1e-10
@@ -96,13 +97,19 @@ def test_orthogonal_step_rejected():
     a = DensityOperator.pure(np.array([1.0, 0.0]))
     b = DensityOperator.pure(np.array([0.0, 1.0]))
     with pytest.raises(OrthogonalStep):
-        discrete_holonomy([a, b])
+        discrete_holonomy(DensityPath.from_matrices([np.stack([a.matrix, b.matrix])], 2))
 
 
 def test_too_short_path():
     rho = DensityOperator.maximally_mixed(2)
     with pytest.raises(ValueError):
-        discrete_holonomy([rho])
+        discrete_holonomy(DensityPath.from_matrices([rho.matrix[None]], 2))
+
+
+def test_list_of_states_rejected():
+    rho = DensityOperator.maximally_mixed(2)
+    with pytest.raises(TypeError, match=r"density_path or DensityPath\.from_matrices"):
+        discrete_holonomy([rho, rho])
 
 
 def _step_by_step_transport(states, tol=1e-9):
@@ -139,30 +146,18 @@ def test_orthogonal_step_in_a_later_chunk_is_named():
     k = PATH_CHUNK + 5
     a = DensityOperator.pure(np.array([1.0, 0.0]))
     b = DensityOperator.pure(np.array([0.0, 1.0]))
+    path = DensityPath.from_matrices([np.stack([a.matrix] * (k + 1) + [b.matrix] * PATH_CHUNK)], 2)
     with pytest.raises(OrthogonalStep, match=f"between steps {k} and {k + 1}$"):
-        discrete_holonomy([a] * (k + 1) + [b] * PATH_CHUNK)
-
-
-def test_state_list_and_density_path_transport_identically():
-    s = BellScenario(epsilon=0.5, variant="rotating", u=1.0)
-    path = density_path(bell_mixture(0.5), evolution_spec(s), TimeGrid.uniform(s.tau, PATH_CHUNK + 10))
-    assert isinstance(path, DensityPath)
-    from_list = discrete_holonomy(list(path))
-    from_path = discrete_holonomy(path)
-    for field in ("relative_phase_factor", "invariant"):
-        assert np.array_equal(getattr(from_list, field), getattr(from_path, field))
-    assert from_list.max_step_parallelity_residual == from_path.max_step_parallelity_residual
+        discrete_holonomy(path)
 
 
 def test_density_path_indexing():
     rho = DensityOperator(rho1_matrix(0.5))
     path = density_path(rho, StaticHamiltonian(np.kron(SIGMA_Y, np.eye(2)), tau=1.0), TimeGrid.uniform(1.0, 5))
+    assert isinstance(path, DensityPath)
     assert len(path) == 6 and path.dim == 4
-    assert np.allclose(path[0].matrix, rho.matrix, atol=1e-15)
-    assert np.array_equal(path[-1].eigenvectors, path[5].eigenvectors)
-    assert len(list(path)) == 6
-    with pytest.raises(IndexError):
-        path[6]
+    assert path.w.shape == (6, 4) and path.V.shape == (6, 4, 4)
+    assert np.allclose(path_matrices(path)[0], rho.matrix, atol=1e-15)
 
 
 def test_transporter_against_ode_integration(rng):
@@ -207,6 +202,28 @@ def test_transporter_against_ode_integration(rng):
 
 def _gauge_from(spec_times, builder, grid):
     return AncillaGauge(samples=tuple(builder(float(t)) for t in spec_times), grid=grid)
+
+
+def test_gauge_names_the_first_sample_that_is_not_a_partial_isometry():
+    grid = TimeGrid.uniform(1.0, 4)
+    samples = [np.eye(2, dtype=complex)] * 5
+    samples[2] = 2 * np.eye(2)
+    samples[4] = 3 * np.eye(2)
+    with pytest.raises(ValueError, match="^gauge sample 2 is not a partial isometry$"):
+        AncillaGauge(samples=tuple(samples), grid=grid)
+
+
+def test_gauge_check_bound_is_tol_times_dimension():
+    # ||S S^dag S - S|| = 2 delta + O(delta^2) for S = (1 + delta) I; the bound is 1e-9 * 2.
+    grid = TimeGrid.uniform(1.0, 1)
+    AncillaGauge(samples=(np.eye(2), (1 + 0.9e-9) * np.eye(2)), grid=grid)
+    with pytest.raises(ValueError, match="gauge sample 1 "):
+        AncillaGauge(samples=(np.eye(2), (1 + 1.1e-9) * np.eye(2)), grid=grid)
+
+
+def test_gauge_samples_of_mixed_dimension_rejected():
+    with pytest.raises(ValueError, match="gauge samples differ in dimension"):
+        AncillaGauge(samples=(np.eye(2), np.eye(3), np.eye(2)), grid=TimeGrid.uniform(1.0, 2))
 
 
 def test_static_residual_vanishes_with_identity_gauge():
@@ -355,12 +372,9 @@ def test_pause_reparameterization_is_exact():
     s = BellScenario(epsilon=0.5, variant="rotating", u=1.0)
     path = density_path(bell_mixture(0.5), evolution_spec(s), TimeGrid.uniform(s.tau, 120))
     base = discrete_holonomy(path)
-    padded = []
-    for k, rho in enumerate(path):
-        padded.append(rho)
-        if k % 5 == 2:
-            padded.append(rho)
-    doubled = discrete_holonomy(padded)
+    k = np.arange(len(path))
+    idx = np.repeat(k, np.where(k % 5 == 2, 2, 1))  # pause at every fifth state
+    doubled = discrete_holonomy(DensityPath(path.w[idx], path.V[idx]))
     assert op_norm(base.relative_phase_factor - doubled.relative_phase_factor) < 1e-12
 
 
