@@ -27,7 +27,7 @@ from .evolution import density_path
 from .linalg import DEFAULT_TOL
 from .offdiag import holonomy_isometry, nu_functional, off_diagonal_invariant
 from .report import UNDEFINED, encode_complex, encode_matrix, fmt, to_csv_rows, to_json, to_text
-from .scenario_io import PRESETS, ScenarioConfig, as_tolerance, load_scenario, parse_scenario
+from .scenario_io import PRESETS, ScenarioConfig, _as_int, _as_number, as_tolerance, load_scenario, parse_scenario
 from .scenarios import BellScenario, bell_basis, evolution_spec, run_bell_scenario
 from .transport import discrete_holonomy
 from .verify import property_groups, run_properties
@@ -229,8 +229,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-# Sweep parameter -> (BellScenario field, value type).
-_SWEEP_PARAMETERS = {"epsilon": ("epsilon", float), "steps": ("n_steps", int), "u": ("u", float)}
+# Sweep parameter -> (BellScenario field, parser of one value).
+_SWEEP_PARAMETERS = {"epsilon": ("epsilon", _as_number), "steps": ("n_steps", _as_int), "u": ("u", _as_number)}
 
 
 def _cmd_sweep(args) -> int:
@@ -238,11 +238,9 @@ def _cmd_sweep(args) -> int:
         raise UnknownParameter(
             f"parameter must be one of {', '.join(_SWEEP_PARAMETERS)}, got {args.parameter!r}"
         )
-    raw = [v for v in args.values.split(",") if v.strip()]
-    try:
-        values = [float(v) for v in raw]
-    except ValueError:
-        raise ScenarioFormatError(f"values: expected numbers, got {args.values!r}")
+    # The rules of the matching scenario-file keys: steps must be integers.
+    attr, convert = _SWEEP_PARAMETERS[args.parameter]
+    values = [convert(v, "values") for v in args.values.split(",") if v.strip()]
     cfg = _load_config(args)
     if cfg.preset is None:
         raise ScenarioFormatError("sweep: only preset scenarios can be swept")
@@ -251,10 +249,9 @@ def _cmd_sweep(args) -> int:
         "support_overlap_X12,closed_form_error,wall_time_ms"
     )
     lines = [header]
-    attr, convert = _SWEEP_PARAMETERS[args.parameter]
     for value in values:
         started = time.perf_counter()
-        rep = _run_preset(cfg, replace(cfg.preset, **{attr: convert(value)}))
+        rep = _run_preset(cfg, replace(cfg.preset, **{attr: value}))
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         d1, d12 = rep.diagnoses["X1"], rep.diagnoses["X12"]
         nu12 = fmt(d12.phase) if d12.phase_defined else UNDEFINED

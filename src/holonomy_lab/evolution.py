@@ -232,20 +232,19 @@ def rotating_generator(spec: RotatingFrame, t: float) -> np.ndarray:
 
 
 def density_path(rho0: DensityOperator, spec: EvolutionSpec, grid: TimeGrid) -> DensityPath:
-    """Conjugate rho0 by U(t) on every grid time.
+    """The orbit U(t) rho0 U(t)^dag on every grid time, as eigen-data.
 
-    The spectrum is invariant along the path; every element is validated
-    as a density operator. The path is built ``PATH_CHUNK`` states at a
-    time and keeps only their eigen-data; at large dimension each chunk is
-    validated in a worker thread while the next one is conjugated.
+    The orbit has rho0's spectrum at every time and eigenvectors
+    U(t) rho0.eigenvectors, so rho0 is diagonalised once, when it is
+    built, and no state of the path is diagonalised or validated again:
+    rho0 is a validated state and every U(t) is unitary. The eigenvectors
+    are formed ``PATH_CHUNK`` grid times at a time.
     """
     if rho0.dim != spec.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} vs evolution dim {spec.dim}")
     times = grid.times
-
-    def chunks():
-        for start in range(0, times.size, PATH_CHUNK):
-            us = np.array([unitary_at(spec, float(t)) for t in times[start:start + PATH_CHUNK]])
-            yield us @ rho0.matrix @ dagger(us)
-
-    return DensityPath.from_matrices(chunks(), spec.dim)
+    V = np.empty((times.size, spec.dim, spec.dim), dtype=complex)
+    for start in range(0, times.size, PATH_CHUNK):
+        us = np.array([unitary_at(spec, float(t)) for t in times[start:start + PATH_CHUNK]])
+        V[start:start + PATH_CHUNK] = us @ rho0.eigenvectors
+    return DensityPath(np.broadcast_to(rho0.eigenvalues, (times.size, spec.dim)), V)

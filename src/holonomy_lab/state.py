@@ -9,7 +9,6 @@ measures the failure of that condition.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import cached_property
 
 import numpy as np
@@ -29,8 +28,6 @@ from .linalg import (
 
 __all__ = [
     "PATH_CHUNK",
-    "PIPELINE_MIN_DIM",
-    "chunk_pipeline",
     "DensityOperator",
     "DensityPath",
     "Amplitude",
@@ -94,57 +91,9 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim}, rank={self.rank()})"
 
 
-# Paths are validated, rooted and transported this many states at a time,
+# Paths are built, rooted and transported this many states at a time,
 # which bounds the working memory of one path at large dimension.
 PATH_CHUNK = 128
-
-# Paths of this dimension and above run the LAPACK half of each chunk in one
-# worker thread, one chunk ahead of the caller (see ``chunk_pipeline``).
-# Below it, small numpy calls on both threads contend for the interpreter
-# lock and the pipeline is slower than a plain loop.
-PIPELINE_MIN_DIM = 24
-
-
-def _one_ahead(pool, work, items):
-    """Yield work(item) in order while the pool computes the next item's."""
-    items = iter(items)
-    pending = None
-    while True:
-        try:
-            item = next(items)
-        except StopIteration:
-            break
-        except Exception:
-            # In serial order the previous chunk is finished before this item exists.
-            if pending is not None:
-                yield pending.result()
-            raise
-        future = pool.submit(work, item)
-        if pending is not None:
-            yield pending.result()
-        pending = future
-    if pending is not None:
-        yield pending.result()
-
-
-@contextmanager
-def chunk_pipeline(work, items, dim: int):
-    """Context giving an iterator over work(item) for each item, in order.
-
-    For ``dim >= PIPELINE_MIN_DIM`` one worker thread runs ``work`` one
-    item ahead of the caller, so the worker's LAPACK calls overlap the
-    caller's Python work on the previous result. ``work`` must only read
-    shared data; it is called in item order, so it may carry state from
-    one item to the next. Errors come out in the order of a plain loop,
-    and the worker has stopped when the context exits.
-    """
-    if dim < PIPELINE_MIN_DIM:
-        yield map(work, items)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        yield _one_ahead(pool, work, items)
 
 
 class DensityPath:
@@ -162,19 +111,13 @@ class DensityPath:
         self.V = V
 
     @classmethod
-    def from_matrices(cls, chunks, dim: int) -> "DensityPath":
-        """Validate (k, dim, dim) stacks of density matrices, one stack at a time.
-
-        The stacks go through ``chunk_pipeline``, so at large ``dim`` one
-        stack is validated while the next is produced.
-        """
-
-        def validated(chunk):
+    def from_matrices(cls, chunks) -> "DensityPath":
+        """Validate (k, d, d) stacks of density matrices, one stack at a time."""
+        ws, Vs = [], []
+        for chunk in chunks:
             _, w, V = validate_density(chunk)
-            return np.clip(w, 0.0, 1.0), V
-
-        with chunk_pipeline(validated, chunks, dim) as results:
-            ws, Vs = zip(*results)
+            ws.append(np.clip(w, 0.0, 1.0))
+            Vs.append(V)
         return cls(np.concatenate(ws), np.concatenate(Vs))
 
     @property

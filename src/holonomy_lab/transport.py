@@ -26,7 +26,7 @@ from .linalg import (
     polar_isometry,
     support_power,
 )
-from .state import PATH_CHUNK, DensityOperator, DensityPath, chunk_pipeline, parallelity_residual
+from .state import PATH_CHUNK, DensityOperator, DensityPath, parallelity_residual
 
 __all__ = [
     "TransportResult",
@@ -94,9 +94,7 @@ def _transport(path, tol, keep_amplitudes):
     amps = [prev_amp] if keep_amplitudes else None
     max_residual = 0.0
 
-    def step_isometries(start):
-        # The LAPACK half of a chunk; runs one chunk ahead at large dimension.
-        nonlocal root
+    for start in range(0, n, PATH_CHUNK):
         stop = min(start + PATH_CHUNK, n)
         # Roots of states start..stop; step k maps state k to state k+1.
         roots = np.concatenate([root[None], path.roots(start + 1, stop + 1)])
@@ -112,20 +110,17 @@ def _transport(path, tol, keep_amplitudes):
                 f"transition probability {float(fid[k - start]):.3e} <= tol between steps {k} and {k + 1}"
             )
         # Step isometries: singular directions outside kept_directions are cut.
-        return roots[1:], (U * kept_directions(s, tol)[:, None, :]) @ Vh
-
-    with chunk_pipeline(step_isometries, range(0, n, PATH_CHUNK), path.dim) as chunks:
-        for roots, steps in chunks:
-            frames = np.empty_like(steps)
-            for j, step in enumerate(steps):
-                V = step @ V
-                frames[j] = V
-            chunk_amps = roots @ frames
-            for amp in chunk_amps:
-                max_residual = max(max_residual, parallelity_residual(prev_amp, amp))
-                prev_amp = amp
-            if keep_amplitudes:
-                amps.extend(chunk_amps)
+        steps = (U * kept_directions(s, tol)[:, None, :]) @ Vh
+        frames = np.empty_like(steps)
+        for j, step in enumerate(steps):
+            V = step @ V
+            frames[j] = V
+        chunk_amps = roots[1:] @ frames
+        for amp in chunk_amps:
+            max_residual = max(max_residual, parallelity_residual(prev_amp, amp))
+            prev_amp = amp
+        if keep_amplitudes:
+            amps.extend(chunk_amps)
     result = TransportResult(
         relative_phase_factor=V,
         initial_amplitude=initial,

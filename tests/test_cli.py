@@ -319,6 +319,21 @@ def test_sweep_steps_rotating_error_decreases(capsys):
     assert errors == sorted(errors, reverse=True)
 
 
+def test_sweep_steps_must_be_integers(capsys):
+    # Read like steps: in a scenario file, so a non-integer count exits 1.
+    code, out, err = run_cli(
+        capsys, "sweep", "--scenario", "bell-static", "--parameter", "steps", "--values", "10.5",
+    )
+    assert code == 1
+    assert out == ""
+    assert "values: expected an integer, got '10.5'" in err
+    code, out, _ = run_cli(
+        capsys, "sweep", "--scenario", "bell-static", "--parameter", "steps", "--values", "16,32",
+    )
+    assert code == 0
+    assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["16", "32"]
+
+
 def test_sweep_empty_values(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--scenario", "bell-static", "--parameter", "epsilon",

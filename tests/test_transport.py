@@ -6,9 +6,12 @@ from holonomy_lab.evolution import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    RotatingFrame,
+    SampledUnitaries,
     StaticHamiltonian,
     TimeGrid,
     density_path,
+    unitary_at,
 )
 from holonomy_lab.linalg import dagger, hermitian_sqrt, is_partial_isometry, op_norm, unitary_exp
 from holonomy_lab.scenarios import (
@@ -33,7 +36,7 @@ from conftest import path_matrices, random_density_matrix, random_hermitian, rho
 
 def test_constant_path():
     rho = DensityOperator(rho1_matrix(0.5))
-    res = discrete_holonomy(DensityPath.from_matrices([np.stack([rho.matrix] * 3)], 4))
+    res = discrete_holonomy(DensityPath.from_matrices([np.stack([rho.matrix] * 3)]))
     assert np.allclose(res.relative_phase_factor, rho.support, atol=1e-12)
     assert np.allclose(res.invariant, rho.matrix, atol=1e-12)
 
@@ -97,13 +100,13 @@ def test_orthogonal_step_rejected():
     a = DensityOperator.pure(np.array([1.0, 0.0]))
     b = DensityOperator.pure(np.array([0.0, 1.0]))
     with pytest.raises(OrthogonalStep):
-        discrete_holonomy(DensityPath.from_matrices([np.stack([a.matrix, b.matrix])], 2))
+        discrete_holonomy(DensityPath.from_matrices([np.stack([a.matrix, b.matrix])]))
 
 
 def test_too_short_path():
     rho = DensityOperator.maximally_mixed(2)
     with pytest.raises(ValueError):
-        discrete_holonomy(DensityPath.from_matrices([rho.matrix[None]], 2))
+        discrete_holonomy(DensityPath.from_matrices([rho.matrix[None]]))
 
 
 def test_list_of_states_rejected():
@@ -133,22 +136,56 @@ def test_chunked_transport_matches_step_by_step_reference():
     rho = DensityOperator(random_density_matrix(rng, 5, rank=3))
     H = random_hermitian(rng, 5)
     grid = TimeGrid.uniform(1.1, 2 * PATH_CHUNK + 3)
-    states = [DensityOperator(unitary_exp(H, t) @ rho.matrix @ unitary_exp(H, t).conj().T) for t in grid.times]
-    V, invariant, worst = _step_by_step_transport(states)
-    res = discrete_holonomy(density_path(rho, StaticHamiltonian(H, tau=1.1), grid))
+    matrices = np.stack([unitary_exp(H, t) @ rho.matrix @ unitary_exp(H, t).conj().T for t in grid.times])
+    V, invariant, worst = _step_by_step_transport([DensityOperator(m) for m in matrices])
+    res = discrete_holonomy(DensityPath.from_matrices([matrices]))
     assert res.n_steps == 2 * PATH_CHUNK + 3
     assert op_norm(res.relative_phase_factor - V) < 1e-12
     assert op_norm(res.invariant - invariant) < 1e-12
     assert abs(res.max_step_parallelity_residual - worst) < 1e-12
 
 
+def _orbit_cases():
+    rng = np.random.default_rng(23)
+    H = random_hermitian(rng, 5)
+    warped = TimeGrid(1.1 * np.linspace(0.0, 1.0, PATH_CHUNK + 10) ** 2)
+    sampled = SampledUnitaries(tuple(unitary_exp(H, t) for t in warped.times), warped)
+    rotating = RotatingFrame.spin_flipper(1.0)
+    return {
+        "static": (random_density_matrix(rng, 5, rank=3), StaticHamiltonian(H, tau=1.1), TimeGrid.uniform(1.1, PATH_CHUNK + 9)),
+        "rotating": (random_density_matrix(rng, 4, rank=2), rotating, TimeGrid.uniform(rotating.tau, PATH_CHUNK + 9)),
+        "sampled": (random_density_matrix(rng, 5, rank=3), sampled, warped),
+        "non-uniform": (random_density_matrix(rng, 5, rank=3), StaticHamiltonian(H, tau=1.1), warped),
+    }
+
+
+@pytest.mark.parametrize("case", ["static", "rotating", "sampled", "non-uniform"])
+def test_orbit_path_matches_validated_matrices(case):
+    # density_path carries rho0's eigen-data along the orbit; from_matrices
+    # diagonalises each state U_k rho0 U_k^dag again. The phase factors differ
+    # by the square root of a round-off kernel eigenvalue (about 1e-10).
+    m, spec, grid = _orbit_cases()[case]
+    rho = DensityOperator(m)
+    us = np.array([unitary_at(spec, float(t)) for t in grid.times])
+    orbit = discrete_holonomy(density_path(rho, spec, grid))
+    generic = discrete_holonomy(DensityPath.from_matrices([us @ rho.matrix @ dagger(us)]))
+    assert orbit.n_steps == generic.n_steps == grid.n_steps
+    assert op_norm(orbit.invariant - generic.invariant) < 1e-12
+    assert op_norm(orbit.relative_phase_factor - generic.relative_phase_factor) < 1e-9
+
+
 def test_orthogonal_step_in_a_later_chunk_is_named():
+    a = DensityOperator.pure(np.array([1.0, 0.0])).matrix
+    b = DensityOperator.pure(np.array([0.0, 1.0])).matrix
     k = PATH_CHUNK + 5
-    a = DensityOperator.pure(np.array([1.0, 0.0]))
-    b = DensityOperator.pure(np.array([0.0, 1.0]))
-    path = DensityPath.from_matrices([np.stack([a.matrix] * (k + 1) + [b.matrix] * PATH_CHUNK)], 2)
-    with pytest.raises(OrthogonalStep, match=f"between steps {k} and {k + 1}$"):
-        discrete_holonomy(path)
+    one = [a] * (k + 1) + [b] * PATH_CHUNK
+    # A second orthogonal step two chunks later; the first one is named.
+    k2 = 2 * PATH_CHUNK + 5
+    two = [a] * (k2 + 1) + [b] * (2 * PATH_CHUNK) + [a] * 3
+    for step, matrices in ((k, one), (k2, two)):
+        path = DensityPath.from_matrices([np.stack(matrices)])
+        with pytest.raises(OrthogonalStep, match=f"between steps {step} and {step + 1}$"):
+            discrete_holonomy(path)
 
 
 def test_density_path_indexing():
