@@ -175,17 +175,12 @@ def test_orbit_path_matches_validated_matrices(case):
 
 
 def test_orthogonal_step_in_a_later_chunk_is_named():
-    a = DensityOperator.pure(np.array([1.0, 0.0])).matrix
-    b = DensityOperator.pure(np.array([0.0, 1.0])).matrix
     k = PATH_CHUNK + 5
-    one = [a] * (k + 1) + [b] * PATH_CHUNK
-    # A second orthogonal step two chunks later; the first one is named.
-    k2 = 2 * PATH_CHUNK + 5
-    two = [a] * (k2 + 1) + [b] * (2 * PATH_CHUNK) + [a] * 3
-    for step, matrices in ((k, one), (k2, two)):
-        path = DensityPath.from_matrices([np.stack(matrices)])
-        with pytest.raises(OrthogonalStep, match=f"between steps {step} and {step + 1}$"):
-            discrete_holonomy(path)
+    a = DensityOperator.pure(np.array([1.0, 0.0]))
+    b = DensityOperator.pure(np.array([0.0, 1.0]))
+    path = DensityPath.from_matrices([np.stack([a.matrix] * (k + 1) + [b.matrix] * PATH_CHUNK)])
+    with pytest.raises(OrthogonalStep, match=f"between steps {k} and {k + 1}$"):
+        discrete_holonomy(path)
 
 
 def test_density_path_indexing():
