@@ -19,7 +19,7 @@ from .errors import DimensionMismatch, NotUnitary
 from .linalg import DEFAULT_TOL, as_square_matrix, dagger, first_norm_above, is_orthonormal, kept_directions, support_power
 from .evolution import EvolutionSpec, RotatingFrame, StaticHamiltonian, TimeGrid, density_path, rotating_generator, unitary_at
 from .offdiag import nu_functional, off_diagonal_invariant, phase_factor, principal_angle
-from .state import DensityOperator
+from .state import DensityOperator, chunk_slices
 from .transport import TransportResult, discrete_holonomy
 
 __all__ = [
@@ -151,20 +151,20 @@ def _eigenstate_transport_residual(spec, family, grid) -> float:
         # U^dag dU/dt = -i H for all t.
         diag = np.diagonal(dagger(V) @ spec.hamiltonian @ V)
         return float(np.max(np.abs(diag)))
-    if isinstance(spec, RotatingFrame):
-        worst = 0.0
-        for t in grid.times:
-            U = unitary_at(spec, float(t))
-            gen = dagger(U) @ rotating_generator(spec, float(t)) @ U
-            worst = max(worst, float(np.max(np.abs(np.diagonal(dagger(V) @ gen @ V)))))
-        return worst
     ts = grid.times
-    us = [unitary_at(spec, float(t)) for t in ts]
     worst = 0.0
-    for k in range(1, len(ts) - 1):
-        gen = dagger(us[k]) @ ((us[k + 1] - us[k - 1]) / (ts[k + 1] - ts[k - 1]))
-        diag = dagger(V) @ gen @ V
-        worst = max(worst, float(np.max(np.abs(np.diagonal(diag)))))
+    if isinstance(spec, RotatingFrame):
+        for k in chunk_slices(0, ts.size):
+            U = unitary_at(spec, ts[k])
+            gen = dagger(U) @ rotating_generator(spec, ts[k]) @ U
+            worst = max(worst, float(np.abs(np.diagonal(dagger(V) @ gen @ V, axis1=-2, axis2=-1)).max()))
+        return worst
+    us = unitary_at(spec, ts)
+    for k in chunk_slices(1, ts.size - 1):
+        after = slice(k.start + 1, k.stop + 1)
+        before = slice(k.start - 1, k.stop - 1)
+        gen = dagger(us[k]) @ ((us[after] - us[before]) / (ts[after] - ts[before])[:, None, None])
+        worst = max(worst, float(np.abs(np.diagonal(dagger(V) @ gen @ V, axis1=-2, axis2=-1)).max()))
     return worst
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GridMiss, NotUnitary, OutOfRange
 from .linalg import DEFAULT_TOL, as_square_matrix, dagger, eigh_exp, first_norm_above, hermitian_eigh
-from .state import PATH_CHUNK, DensityOperator, DensityPath
+from .state import DensityOperator, DensityPath, chunk_slices
 
 __all__ = [
     "SIGMA_X",
@@ -19,6 +19,7 @@ __all__ = [
     "SampledUnitaries",
     "TimeGrid",
     "time_slack",
+    "first_time_outside",
     "unitary_at",
     "rotating_generator",
     "density_path",
@@ -142,6 +143,7 @@ class SampledUnitaries:
 
     unitaries: tuple
     grid: TimeGrid
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         us = tuple(as_square_matrix(U) for U in self.unitaries)
@@ -157,7 +159,9 @@ class SampledUnitaries:
         bad = first_norm_above(dagger(stack) @ stack - eye, DEFAULT_TOL * dim)
         if bad is not None:
             raise NotUnitary(f"sample {bad[0]} is not unitary within tolerance")
-        object.__setattr__(self, "unitaries", us)
+        # The samples are views of the one stack that array times index.
+        object.__setattr__(self, "unitaries", tuple(stack))
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def tau(self) -> float:
@@ -167,8 +171,12 @@ class SampledUnitaries:
     def dim(self) -> int:
         return self.unitaries[0].shape[0]
 
-    def sample_index(self, t: float) -> int:
-        """Index of the sample taken at time t; GridMiss when there is none."""
+    def sample_index(self, t):
+        """Index of the sample taken at time t; GridMiss when there is none.
+
+        For a 1-D array of times, the array of their indices; GridMiss
+        names the first time without a sample.
+        """
         return _sample_index(self.grid.times, t, time_slack(self.tau))
 
 
@@ -176,33 +184,64 @@ EvolutionSpec = StaticHamiltonian | RotatingFrame | SampledUnitaries
 
 
 def _on_driven_qubit(a: np.ndarray, m: int) -> np.ndarray:
-    """kron(a, identity_m), with np.kron's products but without its overhead."""
+    """kron(a, identity_m), also on a stack, with np.kron's products but without its overhead."""
     eye = np.eye(m, dtype=complex)
-    return (a[:, None, :, None] * eye[None, :, None, :]).reshape(2 * m, 2 * m)
+    return (a[..., :, None, :, None] * eye[:, None, :]).reshape(a.shape[:-2] + (2 * m, 2 * m))
 
 
-def _check_time(spec, t: float) -> None:
-    slack = time_slack(spec.tau)
-    if t < -slack or t > spec.tau + slack:
-        raise OutOfRange(f"t = {t!r} outside [0, {spec.tau!r}]")
+def first_time_outside(t, tau: float):
+    """The time of t outside [0, tau] by more than ``time_slack``, or None.
 
-
-def _sample_index(times: np.ndarray, t: float, atol: float) -> int:
-    """First index k with |times[k] - t| <= atol, found by bisection.
-
-    Hits lie within [t - atol, t + atol], so only the times inside a
-    slightly wider window are tested, with the exact criterion.
+    ``t`` is one time or a 1-D array of times; for an array the first
+    such time is returned, as a float.
     """
-    lo = int(np.searchsorted(times, t - 2 * atol, side="left"))
-    hi = int(np.searchsorted(times, t + 2 * atol, side="right"))
-    hits = np.flatnonzero(np.abs(times[lo:hi] - t) <= atol)
-    if hits.size == 0:
-        raise GridMiss(f"t = {t!r} is not a sample point; resample instead of interpolating")
-    return lo + int(hits[0])
+    slack = time_slack(tau)
+    if isinstance(t, np.ndarray):
+        outside = (t < -slack) | (t > tau + slack)
+        return float(t.flat[outside.argmax()]) if outside.any() else None
+    return t if t < -slack or t > tau + slack else None
 
 
-def unitary_at(spec: EvolutionSpec, t: float) -> np.ndarray:
-    """Evaluate the path unitary U(t); U(0) is always the identity."""
+def _check_time(spec, t) -> None:
+    bad = first_time_outside(t, spec.tau)
+    if bad is not None:
+        raise OutOfRange(f"t = {bad!r} outside [0, {spec.tau!r}]")
+
+
+def _sample_index(times: np.ndarray, t, atol: float):
+    """First index k with |times[k] - t| <= atol, for one t or each of an array.
+
+    Hits lie within [t - atol, t + atol], so bisection narrows each search
+    to the times inside a slightly wider window, which are tested in grid
+    order with the exact criterion. GridMiss names the first t without a
+    hit.
+    """
+    lo = np.searchsorted(times, t - 2 * atol, side="left")
+    hi = np.searchsorted(times, t + 2 * atol, side="right")
+    if isinstance(t, np.ndarray):
+        index = np.full(t.shape, -1)
+        for offset in range(int(np.max(hi - lo, initial=0))):
+            k = np.minimum(lo + offset, times.size - 1)
+            hit = (index < 0) & (lo + offset < hi) & (np.abs(times[k] - t) <= atol)
+            index = np.where(hit, k, index)
+        missed = np.flatnonzero(index < 0)
+        if missed.size == 0:
+            return index
+        t = float(t.flat[missed[0]])
+    else:
+        hits = np.flatnonzero(np.abs(times[lo:hi] - t) <= atol)
+        if hits.size:
+            return int(lo) + int(hits[0])
+    raise GridMiss(f"t = {t!r} is not a sample point; resample instead of interpolating")
+
+
+def unitary_at(spec: EvolutionSpec, t) -> np.ndarray:
+    """Evaluate the path unitary U(t); U(0) is always the identity.
+
+    ``t`` is one time, giving a (d, d) matrix, or a 1-D array of k times,
+    giving the (k, d, d) stack of the single-time results; OutOfRange or
+    GridMiss then names the first time that fails.
+    """
     _check_time(spec, t)
     if isinstance(spec, StaticHamiltonian):
         return eigh_exp(*spec._eigh, t)
@@ -212,15 +251,18 @@ def unitary_at(spec: EvolutionSpec, t: float) -> np.ndarray:
         right = eigh_exp(*spec._sigma_z_eigh, -spec.omega * t / 2)
         return _on_driven_qubit(left @ right, spec.subsystem_dims[1])
     if isinstance(spec, SampledUnitaries):
+        if isinstance(t, np.ndarray):
+            return spec._stack[spec.sample_index(t)]
         return spec.unitaries[spec.sample_index(t)]
     raise TypeError(f"unknown evolution spec {type(spec).__name__}")
 
 
-def rotating_generator(spec: RotatingFrame, t: float) -> np.ndarray:
+def rotating_generator(spec: RotatingFrame, t) -> np.ndarray:
     """Instantaneous Hermitian generator H(t) = i dU/dt U^dag of the rotating family.
 
     Useful as the input to an independent time-ordered integrator when
-    cross-checking the closed-form product.
+    cross-checking the closed-form product. ``t`` is one time or a 1-D
+    array of k times, as for ``unitary_at``.
     """
     if not isinstance(spec, RotatingFrame):
         raise TypeError("rotating_generator needs a RotatingFrame spec")
@@ -244,7 +286,8 @@ def density_path(rho0: DensityOperator, spec: EvolutionSpec, grid: TimeGrid) -> 
         raise DimensionMismatch(f"state dim {rho0.dim} vs evolution dim {spec.dim}")
     times = grid.times
     V = np.empty((times.size, spec.dim, spec.dim), dtype=complex)
-    for start in range(0, times.size, PATH_CHUNK):
-        us = np.array([unitary_at(spec, float(t)) for t in times[start:start + PATH_CHUNK]])
-        V[start:start + PATH_CHUNK] = us @ rho0.eigenvectors
+    for k in chunk_slices(0, times.size):
+        # One scalar call per time: holobench's traced replay pins this count (ROADMAP item 1).
+        us = np.array([unitary_at(spec, float(t)) for t in times[k]])
+        V[k] = us @ rho0.eigenvectors
     return DensityPath(np.broadcast_to(rho0.eigenvalues, (times.size, spec.dim)), V)

@@ -19,6 +19,7 @@ __all__ = [
     "DEFAULT_TOL",
     "PolarFactors",
     "as_square_matrix",
+    "as_square_stack",
     "dagger",
     "op_norm",
     "first_norm_above",
@@ -46,6 +47,16 @@ def as_square_matrix(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix entries must be finite")
+    return M
+
+
+def as_square_stack(M) -> np.ndarray:
+    """Coerce to a finite complex ndarray: one square matrix or a (k, d, d) stack."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
     return M
@@ -126,8 +137,16 @@ def eigh_root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (R + dagger(R)) / 2
 
 
-def eigh_exp(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t H) from the eigen-data (w, V) of a Hermitian H."""
+def eigh_exp(w: np.ndarray, V: np.ndarray, t) -> np.ndarray:
+    """exp(-i t H) from the eigen-data (w, V) of a Hermitian H.
+
+    ``V`` has the eigenvectors as columns and ``w`` broadcasts against
+    its rows: (d,) with a (d, d) ``V``, or (k, 1, d) with a (k, d, d)
+    stack of them. ``t`` is one time, or a 1-D array of k times for one
+    generator, which gives the (k, d, d) stack of the single-time results.
+    """
+    if isinstance(t, np.ndarray):
+        t = t[..., None, None]
     return (V * np.exp(-1j * t * w)) @ dagger(V)
 
 
@@ -208,13 +227,16 @@ def is_orthonormal(V: np.ndarray) -> bool:
 def unitary_exp(H, t: float) -> np.ndarray:
     """exp(-i t H) for Hermitian H, computed by eigendecomposition.
 
-    Exact for this problem class; no series or scaling-squaring.
+    ``H`` is one (d, d) matrix or a (k, d, d) stack, and the result has
+    its shape; any non-Hermitian member raises NotHermitian. Exact for
+    this problem class; no series or scaling-squaring.
     """
-    H = as_square_matrix(H)
+    H = as_square_stack(H)
     skew = first_norm_above(H - dagger(H), DEFAULT_TOL)
     if skew is not None:
         raise NotHermitian(f"generator deviates from Hermitian by {skew[1]:.3e}")
-    return eigh_exp(*hermitian_eigh(H), t)
+    w, V = hermitian_eigh(H)
+    return eigh_exp(w[..., None, :], V, t)
 
 
 def validate_density(m):
@@ -226,11 +248,7 @@ def validate_density(m):
     -DEFAULT_TOL and has trace 1 within ``DEFAULT_TOL * d``; for a stack
     the first failing member is reported.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+    m = as_square_stack(m)
     stack = m if m.ndim == 3 else m[None]
     skew = first_norm_above(stack - dagger(stack), DEFAULT_TOL)
     if skew is not None:

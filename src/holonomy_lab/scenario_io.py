@@ -201,8 +201,7 @@ def _parse_grid(data, spec) -> TimeGrid:
     try:
         grid = TimeGrid.uniform(tau, n_steps)
         if sampled:
-            for t in grid.times:
-                spec.sample_index(float(t))
+            spec.sample_index(grid.times)
     except (ValueError, GridMiss) as exc:
         _fail("grid", str(exc))
     return grid

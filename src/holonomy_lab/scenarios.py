@@ -21,7 +21,7 @@ from .evolution import (
     StaticHamiltonian,
     TimeGrid,
     density_path,
-    time_slack,
+    first_time_outside,
 )
 from .linalg import DEFAULT_TOL, dagger, op_norm
 from .offdiag import nu_functional, off_diagonal_invariant
@@ -138,31 +138,42 @@ def evolution_spec(s: BellScenario):
     return RotatingFrame.spin_flipper(s.u)
 
 
-def gauge_angle(s: BellScenario, t: float) -> float:
-    """Accumulated ancilla-gauge angle sqrt(eps) * omega * t / (1 + eps)."""
+def gauge_angle(s: BellScenario, t):
+    """Accumulated ancilla-gauge angle sqrt(eps) * omega * t / (1 + eps).
+
+    A float for one time, an array for a 1-D array of times.
+    """
     if s.variant != "rotating":
         raise WrongVariant("the closed-form gauge angle belongs to the rotating variant")
-    return float(np.sqrt(s.epsilon) * s.omega * t / (1 + s.epsilon))
+    gamma = np.sqrt(s.epsilon) * s.omega * t / (1 + s.epsilon)
+    return gamma if isinstance(t, np.ndarray) else float(gamma)
 
 
-def _plane_gauge(gamma: float, a, b) -> np.ndarray:
-    """cos(gamma) on the projector onto span(a, b), -i sin(gamma) on its swap."""
+def _plane_gauge(gamma, a, b) -> np.ndarray:
+    """cos(gamma) on the projector onto span(a, b), -i sin(gamma) on its swap.
+
+    One matrix per angle: (d, d) for a float gamma, (k, d, d) for k angles.
+    """
     plane = _outer(a, a) + _outer(b, b)
     swap = _outer(a, b) + _outer(b, a)
-    return np.cos(gamma) * plane - 1j * np.sin(gamma) * swap
+    cos = np.cos(gamma)[..., None, None]
+    sin = np.sin(gamma)[..., None, None]
+    return cos * plane - 1j * sin * swap
 
 
-def closed_form_B_r1(s: BellScenario, t: float) -> np.ndarray:
+def closed_form_B_r1(s: BellScenario, t) -> np.ndarray:
     """Closed-form ancilla gauge on the Psi plane for the rotating drive.
 
     cos(gamma) on the plane projector, -i sin(gamma) on the plane swap;
-    zero outside the plane. At t = 0 this is the projector itself.
+    zero outside the plane. At t = 0 this is the projector itself. ``t``
+    is one time, or a 1-D array of k times for a (k, 4, 4) stack; the
+    first time outside [0, tau] raises ValueError.
     """
     if s.variant != "rotating":
         raise WrongVariant("closed_form_B_r1 belongs to the rotating variant")
-    slack = time_slack(s.tau)
-    if t < -slack or t > s.tau + slack:
-        raise ValueError(f"t = {t!r} outside [0, {s.tau!r}]")
+    bad = first_time_outside(t, s.tau)
+    if bad is not None:
+        raise ValueError(f"t = {bad!r} outside [0, {s.tau!r}]")
     psi_plus, psi_minus, _, _ = bell_basis()
     return _plane_gauge(gauge_angle(s, t), psi_plus, psi_minus)
 

@@ -28,6 +28,7 @@ from .linalg import (
 
 __all__ = [
     "PATH_CHUNK",
+    "chunk_slices",
     "DensityOperator",
     "DensityPath",
     "Amplitude",
@@ -91,9 +92,15 @@ class DensityOperator:
         return f"DensityOperator(dim={self.dim}, rank={self.rank()})"
 
 
-# Paths are built, rooted and transported this many states at a time,
-# which bounds the working memory of one path at large dimension.
+# Paths are built, rooted and transported, and batched evaluations run,
+# this many states or times at a time, which bounds the working memory of
+# one path at large dimension or on a long grid.
 PATH_CHUNK = 128
+
+
+def chunk_slices(start: int, stop: int) -> list:
+    """Slices that cover start..stop-1 in order, ``PATH_CHUNK`` indices each."""
+    return [slice(i, min(i + PATH_CHUNK, stop)) for i in range(start, stop, PATH_CHUNK)]
 
 
 class DensityPath:
@@ -128,8 +135,15 @@ class DensityPath:
         return self.w.shape[0]
 
     def roots(self, start: int, stop: int) -> np.ndarray:
-        """Square roots of states start..stop-1 as a (stop-start, d, d) stack."""
-        return eigh_root(self.w[start:stop], self.V[start:stop])
+        """Square roots of states start..stop-1 as a (stop-start, d, d) stack.
+
+        Eigenvalues outside ``kept_directions`` at ``DEFAULT_TOL`` count as
+        zero: they are round-off within the input slack of
+        ``validate_density``, and their square roots (about 3e-9 for 1e-17)
+        would enter the transport.
+        """
+        w = self.w[start:stop]
+        return eigh_root(np.where(kept_directions(w, DEFAULT_TOL), w, 0.0), self.V[start:stop])
 
     def __repr__(self):
         return f"DensityPath(states={len(self)}, dim={self.dim})"

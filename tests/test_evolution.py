@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from holonomy_lab.evolution import (
     unitary_at,
 )
 from holonomy_lab.linalg import op_norm, unitary_exp
-from holonomy_lab.state import DensityOperator
+from holonomy_lab.state import PATH_CHUNK, DensityOperator
 
 from conftest import path_matrices, random_hermitian, rho1_matrix, rho1_tau_matrix, usf_matrix
 
@@ -241,6 +243,71 @@ def test_rotating_closed_form_vs_short_step_integrator():
     for k in range(n):
         U = unitary_exp(rotating_generator(spec, float(ts[k] + dt / 2)), float(dt)) @ U
     assert op_norm(U - unitary_at(spec, spec.tau)) < 1e-6
+
+
+# ------------------------------------------------------------------ array times
+
+def _array_cases():
+    rng = np.random.default_rng(7)
+    H = random_hermitian(rng, 3)
+    warped = _warped_sampled_spec(2.0, PATH_CHUNK + 20)
+    uniform = TimeGrid.uniform(1.5, 40)
+    sampled = SampledUnitaries(tuple(unitary_exp(H, float(t)) for t in uniform.times), uniform)
+    return {
+        "static": (StaticHamiltonian(H, tau=1.5), np.linspace(0.0, 1.5, 2 * PATH_CHUNK + 7)),
+        "rotating": (RotatingFrame.spin_flipper(1.3), np.linspace(0.0, np.pi / 1.3, PATH_CHUNK + 9)),
+        "sampled": (sampled, uniform.times[::-1]),
+        "sampled-non-uniform": (warped, warped.grid.times),
+    }
+
+
+@pytest.mark.parametrize("case", ["static", "rotating", "sampled", "sampled-non-uniform"])
+def test_unitary_at_on_an_array_stacks_the_single_time_calls(case):
+    spec, times = _array_cases()[case]
+    stack = unitary_at(spec, times)
+    assert stack.shape == (times.size, spec.dim, spec.dim)
+    assert np.array_equal(stack, np.array([unitary_at(spec, float(t)) for t in times]))
+    assert np.array_equal(unitary_at(spec, np.asarray(times[1])), stack[1])
+
+
+def test_rotating_generator_on_an_array_stacks_the_single_time_calls():
+    spec, times = _array_cases()["rotating"]
+    mids = times[:-1] + (times[1] - times[0]) / 2
+    stack = rotating_generator(spec, mids)
+    assert stack.shape == (mids.size, 4, 4)
+    assert np.array_equal(stack, np.array([rotating_generator(spec, float(t)) for t in mids]))
+
+
+@pytest.mark.parametrize("case", ["static", "rotating", "sampled"])
+def test_array_times_name_the_first_time_out_of_range(case):
+    spec = _array_cases()[case][0]
+    times = np.array([0.0, spec.tau, spec.tau + 0.25, -0.5, spec.tau + 1.0])
+    with pytest.raises(OutOfRange, match=f"^t = {re.escape(repr(spec.tau + 0.25))} outside"):
+        unitary_at(spec, times)
+    with pytest.raises(OutOfRange, match=r"^t = -0.5 outside"):
+        unitary_at(spec, times[[0, 3, 2]])
+
+
+def test_array_times_name_the_first_grid_miss():
+    spec = _warped_sampled_spec(7.3, 50)
+    times = spec.grid.times
+    off = [float(0.5 * (times[3] + times[4])), float(times[10] + 3e-12 * spec.tau)]
+    query = np.array([times[2], off[1], times[5], off[0]])
+    miss = [f"^t = {re.escape(repr(t))} is not a sample point" for t in off]
+    with pytest.raises(GridMiss, match=miss[1]):
+        unitary_at(spec, query)
+    with pytest.raises(GridMiss, match=miss[1]):
+        unitary_at(spec, off[1])
+    with pytest.raises(GridMiss, match=miss[0]):
+        spec.sample_index(query[[0, 3, 1]])
+
+
+def test_array_sample_index_matches_the_scalar_lookup():
+    # Times within the slack of a sample, including the accumulated tau.
+    spec = _warped_sampled_spec(7.3, 50)
+    atol = time_slack(spec.tau)
+    query = np.concatenate([spec.grid.times, spec.grid.times[1:-1] + 0.9 * atol, [sum([spec.tau / 49] * 49)]])
+    assert np.array_equal(spec.sample_index(query), [spec.sample_index(float(t)) for t in query])
 
 
 # ----------------------------------------------------------------- density_path

@@ -42,6 +42,7 @@ CASES["preset-file-override.json"] = (
     "run", "--scenario", str(GOLDEN / "preset_override.yaml"), "--epsilon", "0.5",
     "--steps", STEPS, "--format", "json",
 )
+CASES["verify-seed0.txt"] = ("verify", "--seed", "0")
 
 # A number not glued to a word or a key path ("X12", "invariants.0").
 _NUMBER = re.compile(r"(?<![\w.])(-?\d+(?:\.\d+)?(?:e[+-]?\d+)?)(?![\w.])")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from holonomy_lab.errors import InvalidState, NotHermitian, NotPSD
 from holonomy_lab.linalg import (
+    eigh_exp,
     first_norm_above,
     hermitian_sqrt,
     is_partial_isometry,
@@ -17,6 +18,7 @@ from holonomy_lab.linalg import (
     unitary_exp,
     validate_density,
 )
+from holonomy_lab.state import PATH_CHUNK
 
 from conftest import (
     PHI_MINUS,
@@ -257,6 +259,26 @@ def test_unitary_exp_stays_unitary(rng):
 def test_unitary_exp_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         unitary_exp(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
+def test_unitary_exp_on_a_stack_matches_each_matrix(rng):
+    stack = np.array([random_hermitian(rng, 4) for _ in range(PATH_CHUNK + 3)])
+    Us = unitary_exp(stack, 0.3)
+    assert Us.shape == stack.shape
+    assert np.array_equal(Us, np.array([unitary_exp(H, 0.3) for H in stack]))
+
+
+def test_unitary_exp_rejects_a_stack_with_one_non_hermitian_member(rng):
+    stack = np.array([random_hermitian(rng, 3) for _ in range(5)])
+    stack[3, 0, 1] += 1e-3
+    with pytest.raises(NotHermitian, match="^generator deviates from Hermitian by 1.000e-03$"):
+        unitary_exp(stack, 1.0)
+
+
+def test_eigh_exp_on_an_array_of_times_matches_each_time(rng):
+    w, V = np.linalg.eigh(random_hermitian(rng, 4))
+    times = np.linspace(-2.0, 3.0, 11)
+    assert np.array_equal(eigh_exp(w, V, times), np.array([eigh_exp(w, V, float(t)) for t in times]))
 
 
 # ------------------------------------------------------- transition_probability

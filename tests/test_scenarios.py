@@ -124,6 +124,16 @@ def test_gauge_is_partial_isometry_on_the_plane():
         assert is_partial_isometry(closed_form_B_r1(s, float(t)), 1e-12)
 
 
+def test_closed_form_gauge_on_an_array_stacks_the_single_time_calls():
+    s = BellScenario(epsilon=0.5, variant="rotating", u=1.0)
+    times = np.linspace(0.0, s.tau, 301)
+    stack = closed_form_B_r1(s, times)
+    assert stack.shape == (301, 4, 4)
+    assert np.array_equal(stack, np.array([closed_form_B_r1(s, float(t)) for t in times]))
+    with pytest.raises(ValueError, match=r"^t = -0.5 outside"):
+        closed_form_B_r1(s, np.array([0.0, -0.5, s.tau + 1.0]))
+
+
 def test_gauge_wrong_variant():
     with pytest.raises(WrongVariant):
         closed_form_B_r1(BellScenario(epsilon=0.5, variant="static"), 0.0)
