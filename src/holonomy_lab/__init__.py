@@ -37,13 +37,10 @@ from .linalg import (
     unitary_exp,
 )
 from .state import (
-    Amplitude,
     DensityOperator,
     DensityPath,
-    GaugeIsometry,
     apply_gauge,
     parallelity_residual,
-    standard_purification,
 )
 from .evolution import (
     RotatingFrame,

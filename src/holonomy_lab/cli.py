@@ -307,6 +307,10 @@ def main(argv=None) -> int:
     except HolonomyError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy raises it for an array too large to allocate, e.g. a huge --steps.
+        print(f"numerical failure: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

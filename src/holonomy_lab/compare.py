@@ -130,7 +130,6 @@ class DiscrepancyReport:
 
     interferometric: InterferometricPhase
     holonomy_trace: complex
-    holonomy_factor: complex | None
     nu: float | None
     gamma: float | None
     difference: float | None
@@ -213,14 +212,12 @@ def discrepancy_report(
             results.append(discrete_holonomy(density_path(rho, spec, grid), tol))
     X = off_diagonal_invariant(results)
     diag = nu_functional(np.eye(family.dim), X, tol)
-    factor = phase_factor(diag.trace, 1.0, tol)  # A = I, as in nu above
     difference = None
     if gamma.defined and diag.phase_defined:
         difference = wrap_angle(gamma.phase - diag.phase)
     return DiscrepancyReport(
         interferometric=gamma,
         holonomy_trace=diag.trace,
-        holonomy_factor=factor,
         nu=diag.phase,
         gamma=gamma.phase,
         difference=difference,

@@ -185,7 +185,6 @@ class PolarFactors:
 
     isometry: np.ndarray
     positive_part: np.ndarray
-    side: str
 
 
 def polar(X, side: str = "left", tol: float = DEFAULT_TOL) -> PolarFactors:
@@ -205,7 +204,7 @@ def polar(X, side: str = "left", tol: float = DEFAULT_TOL) -> PolarFactors:
     else:
         positive = U @ (s[:, None] * dagger(U))
     positive = (positive + dagger(positive)) / 2
-    return PolarFactors(isometry=isometry, positive_part=positive, side=side)
+    return PolarFactors(isometry=isometry, positive_part=positive)
 
 
 def polar_isometry(X, tol: float = DEFAULT_TOL) -> np.ndarray:

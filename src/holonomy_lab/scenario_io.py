@@ -9,6 +9,7 @@ sequences to assemble. Complex entries are written as [re, im] pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,7 +48,8 @@ def _fail(fieldname: str, message: str):
     raise ScenarioFormatError(f"{fieldname}: {message}")
 
 
-def _as_number(value, fieldname: str) -> float:
+def _as_float(value, fieldname: str) -> float:
+    """A number, or a string that reads as one; nan and inf pass."""
     if isinstance(value, str):
         # YAML 1.1 reads bare scientific notation like 1e-9 as a string.
         try:
@@ -56,12 +58,23 @@ def _as_number(value, fieldname: str) -> float:
             _fail(fieldname, f"expected a number, got {value!r}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(fieldname, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return float("inf")
+
+
+def _as_number(value, fieldname: str) -> float:
+    """A finite number: nan and inf fail here, before any arithmetic sees them."""
+    number = _as_float(value, fieldname)
+    if not math.isfinite(number):
+        _fail(fieldname, f"expected a finite number, got {value!r}")
+    return number
 
 
 def as_tolerance(value, fieldname: str) -> float:
     """A tolerance: a finite number with 0 < tol < 1."""
-    tol = _as_number(value, fieldname)
+    tol = _as_float(value, fieldname)
     if not 0.0 < tol < 1.0:  # also rejects nan and inf
         _fail(fieldname, f"expected a finite number with 0 < tol < 1, got {tol!r}")
     return tol
@@ -82,7 +95,7 @@ def _as_int(value, fieldname: str) -> int:
 
 def _as_complex(entry, fieldname: str) -> complex:
     if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return complex(entry)
+        return complex(_as_number(entry, fieldname))
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
         return complex(_as_number(entry[0], fieldname), _as_number(entry[1], fieldname))
     _fail(fieldname, f"expected a real number or [re, im] pair, got {entry!r}")

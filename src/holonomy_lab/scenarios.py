@@ -10,7 +10,7 @@ the Phi plane and carries the phase pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,6 +113,9 @@ class BellScenario:
     n_steps: int = 1000
 
     def __post_init__(self):
+        for name in ("epsilon", "u"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.epsilon < 0:
             raise NegativeWeight("epsilon must be >= 0")
         if self.variant not in ("static", "rotating"):
@@ -232,7 +235,6 @@ def variant_form_X12(s: BellScenario) -> np.ndarray:
 class ScenarioReport:
     """Transported invariants, diagnoses, and distances to the closed forms."""
 
-    scenario: BellScenario
     X1: np.ndarray
     X2: np.ndarray
     X12: np.ndarray
@@ -240,7 +242,6 @@ class ScenarioReport:
     closed_form_errors: dict
     variant_form_distance: float
     transport_residuals: dict
-    closed_forms: dict = field(repr=False, default_factory=dict)
 
 
 def run_bell_scenario(
@@ -281,15 +282,12 @@ def run_bell_scenario(
             "X12": op_norm(x12.operator - cf12),
         }
         variant_distance = op_norm(cf12 - variant_form_X12(s))
-        forms = {"X1": cf1, "X2": cf2, "X12": cf12}
     else:
         # The closed forms assume the default reference rho_2(0) = rho_1(tau).
         cf1 = closed_form_invariants(s)[0]
         closed_form_errors = {"X1": op_norm(x1.operator - cf1)}
         variant_distance = float("nan")
-        forms = {"X1": cf1}
     return ScenarioReport(
-        scenario=s,
         X1=x1.operator,
         X2=x2.operator,
         X12=x12.operator,
@@ -300,5 +298,4 @@ def run_bell_scenario(
             "path1": r1.max_step_parallelity_residual,
             "path2": r2.max_step_parallelity_residual,
         },
-        closed_forms=forms,
     )

@@ -1,10 +1,11 @@
 """Density operators, amplitudes (purifications), and gauge transformations.
 
-An amplitude is a square matrix W with rho = W W^dag; the state lives on
-H and the ancilla is the dual space, so purifications never leave the
-dim x dim square shape. Parallelity between two amplitudes means their
-overlap W^dag W' is Hermitian positive semidefinite; the residual below
-measures the failure of that condition.
+An amplitude is a plain square matrix W with rho = W W^dag; the state
+lives on H and the ancilla is the dual space, so purifications never
+leave the dim x dim square shape, and ``rho.sqrt`` is the standard one.
+Parallelity between two amplitudes means their overlap W^dag W' is
+Hermitian positive semidefinite; the residual below measures the
+failure of that condition.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ __all__ = [
     "chunk_slices",
     "DensityOperator",
     "DensityPath",
-    "Amplitude",
-    "GaugeIsometry",
-    "standard_purification",
     "apply_gauge",
     "parallelity_residual",
 ]
@@ -149,62 +147,30 @@ class DensityPath:
         return f"DensityPath(states={len(self)}, dim={self.dim})"
 
 
-class Amplitude:
-    """Square matrix W whose state is W W^dag, validated as a density operator.
+def apply_gauge(W, S) -> np.ndarray:
+    """Right-multiply an amplitude by a gauge partial isometry, W -> W S.
 
-    The checked type for purifications built by hand; transport results
-    hold their amplitudes as plain matrices.
+    Raises InvalidState when W W^dag is not a density operator or S is not
+    a partial isometry, and SupportMismatch when the gauged amplitude no
+    longer purifies the same state, which happens exactly when the left
+    support of S fails to cover the right support of W.
     """
-
-    def __init__(self, matrix):
-        matrix = as_square_matrix(matrix)
-        # Raises InvalidState when W W^dag is not a density operator.
-        self._state = DensityOperator(matrix @ dagger(matrix))
-        self.matrix = matrix
-        self.dim = matrix.shape[0]
-
-    def state(self) -> DensityOperator:
-        return self._state
-
-    def __repr__(self):
-        return f"Amplitude(dim={self.dim})"
-
-
-class GaugeIsometry:
-    """Validated partial isometry used as a t-independent gauge."""
-
-    def __init__(self, matrix):
-        matrix = as_square_matrix(matrix)
-        if not is_partial_isometry(matrix):
-            raise InvalidState("gauge matrix is not a partial isometry")
-        self.matrix = matrix
-        self.dim = matrix.shape[0]
-
-
-def standard_purification(rho: DensityOperator) -> Amplitude:
-    """The amplitude rho^{1/2}, i.e. phase factor = identity on the support."""
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(rho)
-    return Amplitude(rho.sqrt)
-
-
-def apply_gauge(W: Amplitude, S: GaugeIsometry) -> Amplitude:
-    """Right-multiply an amplitude by a gauge isometry, W -> W S.
-
-    Raises SupportMismatch when the gauged amplitude no longer purifies
-    the same state, which happens exactly when the left support of S
-    fails to cover the right support of W.
-    """
-    if W.dim != S.dim:
-        raise DimensionMismatch(f"amplitude dim {W.dim} vs gauge dim {S.dim}")
-    gauged = W.matrix @ S.matrix
-    drift = first_norm_above(gauged @ dagger(gauged) - W.matrix @ dagger(W.matrix), DEFAULT_TOL * W.dim)
+    W = as_square_matrix(W)
+    S = as_square_matrix(S)
+    if W.shape != S.shape:
+        raise DimensionMismatch(f"amplitude shape {W.shape} vs gauge shape {S.shape}")
+    state = W @ dagger(W)
+    validate_density(state)
+    if not is_partial_isometry(S):
+        raise InvalidState("gauge matrix is not a partial isometry")
+    gauged = W @ S
+    drift = first_norm_above(gauged @ dagger(gauged) - state, DEFAULT_TOL * W.shape[0])
     if drift is not None:
         raise SupportMismatch(f"gauged amplitude changes the state by {drift[1]:.3e}")
-    return Amplitude(gauged)
+    return gauged
 
 
-def parallelity_residual(W: Amplitude, W2: Amplitude) -> float:
+def parallelity_residual(W, W2) -> float:
     """How far the pair (W, W2) is from being parallel.
 
     Returns max(||M - M^dag||, |min(0, lambda_min((M+M^dag)/2))|) for
@@ -212,8 +178,8 @@ def parallelity_residual(W: Amplitude, W2: Amplitude) -> float:
     PSD. Strict positivity is deliberately not required; rank-deficient
     states make it unattainable.
     """
-    a = W.matrix if isinstance(W, Amplitude) else as_square_matrix(W)
-    b = W2.matrix if isinstance(W2, Amplitude) else as_square_matrix(W2)
+    a = as_square_matrix(W)
+    b = as_square_matrix(W2)
     if a.shape != b.shape:
         raise DimensionMismatch(f"amplitude shapes {a.shape} vs {b.shape}")
     M = dagger(a) @ b

@@ -51,11 +51,9 @@ from .scenarios import (
 from .state import (
     DensityOperator,
     DensityPath,
-    GaugeIsometry,
     apply_gauge,
     chunk_slices,
     parallelity_residual,
-    standard_purification,
 )
 from .transport import AncillaGauge, discrete_holonomy, transport_equation_residual
 
@@ -247,11 +245,10 @@ def check_purification(rng):
     for _ in range(20):
         dim = int(rng.integers(2, 6))
         rho = _random_density(rng, dim)
-        W = standard_purification(rho)
-        worst_state = max(worst_state, op_norm(W.matrix @ dagger(W.matrix) - rho.matrix))
-        S = GaugeIsometry(_random_unitary(rng, dim))
-        gauged = apply_gauge(W, S)
-        worst_gauge = max(worst_gauge, op_norm(gauged.matrix @ dagger(gauged.matrix) - rho.matrix))
+        W = rho.sqrt
+        worst_state = max(worst_state, op_norm(W @ dagger(W) - rho.matrix))
+        gauged = apply_gauge(W, _random_unitary(rng, dim))
+        worst_gauge = max(worst_gauge, op_norm(gauged @ dagger(gauged) - rho.matrix))
         W2 = _random_unitary(rng, dim) @ _random_density(rng, dim).sqrt
         worst_sym = max(worst_sym, abs(parallelity_residual(W, W2) - parallelity_residual(W2, W)))
     return [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holonomy_lab.cli import main
+from holonomy_lab.evolution import TimeGrid
 
 from conftest import angle_diff
 
@@ -203,6 +204,47 @@ def test_run_svd_failure_exits_two(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "run", "--scenario", "bell-static", "--steps", "8")
     assert code == 2
     assert "numerical failure: SVD did not converge" in err
+
+
+def test_run_out_of_memory_exits_two(capsys, monkeypatch):
+    # Never a real oversized grid: an allocation the OS accepts can get the process killed later.
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 22.4 GiB for an array with shape (3000000001,)")
+
+    monkeypatch.setattr(TimeGrid, "uniform", no_memory)
+    code, out, err = run_cli(capsys, "run", "--scenario", "bell-static", "--steps", "3000000000")
+    assert (code, out) == (2, "")
+    assert err == "numerical failure: out of memory: Unable to allocate 22.4 GiB for an array with shape (3000000001,)\n"
+
+
+_MIXED_QUBIT = "format_version: 1\nstates:\n  - preset: maximally-mixed\n    dimension: 2\n"
+
+
+@pytest.mark.parametrize(
+    "field, argv, body",
+    [
+        ("u", ("run", "--scenario", "bell-rotating", "--u", "nan"), None),
+        ("u", ("run", "--scenario", "bell-rotating", "--u", "inf"), None),
+        ("epsilon", ("run", "--scenario", "bell-static", "--epsilon", "nan"), None),
+        ("values", ("sweep", "--scenario", "bell-static", "--parameter", "u", "--values", "1,nan"), None),
+        ("evolution.tau", ("run",), _MIXED_QUBIT + _STATIC_QUBIT.replace("tau: 1.0", "tau: .nan")),
+        ("evolution.tau", ("run",), _MIXED_QUBIT + _STATIC_QUBIT.replace("tau: 1.0", "tau: .inf")),
+        ("grid.tau", ("run",), _MIXED_QUBIT + _STATIC_QUBIT + "grid: {tau: .nan}\n"),
+        ("evolution.times", ("run",), _MIXED_QUBIT + _SAMPLED_QUBIT.replace("  tau: 1.0\n", "  times: [0, .nan, 1]\n")),
+        ("observables.A[0][0]", ("run",), _MIXED_QUBIT + _STATIC_QUBIT + "observables:\n  A: [[.nan, 0], [0, 1]]\n"),
+        ("epsilon", ("run",), "format_version: 1\nscenario: bell-static\nepsilon: 1" + "0" * 400 + "\n"),
+    ],
+    ids=["u-nan", "u-inf", "epsilon-nan", "sweep-values", "static-tau-nan", "static-tau-inf",
+         "grid-tau-nan", "sampled-times-nan", "matrix-entry-nan", "integer-beyond-float"],
+)
+def test_non_finite_numbers_exit_one_naming_the_input(tmp_path, capsys, field, argv, body):
+    if body is not None:
+        path = tmp_path / "nonfinite.yaml"
+        path.write_text(body, encoding="utf-8")
+        argv = argv + ("--scenario", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {field}") and "finite" in err, err
 
 
 @pytest.mark.parametrize("command", [

@@ -3,14 +3,7 @@ import pytest
 
 from holonomy_lab.errors import DimensionMismatch, InvalidState, SupportMismatch
 from holonomy_lab.linalg import op_norm
-from holonomy_lab.state import (
-    Amplitude,
-    DensityOperator,
-    GaugeIsometry,
-    apply_gauge,
-    parallelity_residual,
-    standard_purification,
-)
+from holonomy_lab.state import DensityOperator, apply_gauge, parallelity_residual
 
 from conftest import (
     PSI_MINUS,
@@ -49,6 +42,9 @@ def test_pure_and_maximally_mixed():
     assert np.trace(rho.matrix).real == pytest.approx(1.0)
     mm = DensityOperator.maximally_mixed(3)
     assert np.allclose(mm.matrix, np.eye(3) / 3)
+    # The standard purification rho^{1/2}: rho itself for a pure state.
+    assert np.allclose(DensityOperator.pure(np.array([1.0, 0.0])).sqrt, np.diag([1.0, 0.0]))
+    assert np.allclose(DensityOperator.maximally_mixed(2).sqrt, np.eye(2) / np.sqrt(2))
 
 
 def test_support_projector_of_state():
@@ -58,91 +54,69 @@ def test_support_projector_of_state():
     assert np.allclose(P, expected, atol=1e-12)
 
 
-# --------------------------------------------------------- standard_purification
-
-def test_purification_of_pure_state():
-    rho = DensityOperator.pure(np.array([1.0, 0.0]))
-    W = standard_purification(rho)
-    assert np.allclose(W.matrix, np.diag([1.0, 0.0]))
-
-
-def test_purification_of_maximally_mixed():
-    W = standard_purification(DensityOperator.maximally_mixed(2))
-    assert np.allclose(W.matrix, np.eye(2) / np.sqrt(2))
-
-
 def test_purification_recovers_state(rng):
     rho = DensityOperator(random_density_matrix(rng, 5))
-    W = standard_purification(rho)
-    assert op_norm(W.matrix @ W.matrix.conj().T - rho.matrix) < 1e-12
-
-
-def test_amplitude_rejects_non_state():
-    with pytest.raises(InvalidState):
-        Amplitude(np.eye(2))  # W W^dag has trace 2
+    W = rho.sqrt
+    assert op_norm(W @ W.conj().T - rho.matrix) < 1e-12
 
 
 # ------------------------------------------------------------------ apply_gauge
 
+def test_amplitude_rejects_non_state():
+    with pytest.raises(InvalidState, match="trace"):
+        apply_gauge(np.eye(2), np.eye(2))  # W W^dag has trace 2
+
+
 def test_apply_gauge_identity():
-    W = standard_purification(DensityOperator(rho1_matrix(0.5)))
-    out = apply_gauge(W, GaugeIsometry(np.eye(4)))
-    assert np.allclose(out.matrix, W.matrix)
+    W = DensityOperator(rho1_matrix(0.5)).sqrt
+    assert np.allclose(apply_gauge(W, np.eye(4)), W)
 
 
 def test_apply_gauge_unitary_preserves_state(rng):
     rho = DensityOperator(random_density_matrix(rng, 4))
-    W = standard_purification(rho)
-    S = GaugeIsometry(random_unitary(rng, 4))
-    out = apply_gauge(W, S)
-    assert op_norm(out.matrix @ out.matrix.conj().T - rho.matrix) < 1e-12
+    out = apply_gauge(rho.sqrt, random_unitary(rng, 4))
+    assert op_norm(out @ out.conj().T - rho.matrix) < 1e-12
 
 
 def test_apply_gauge_moves_ancilla_only():
     # W = |0><0|, S = |0><1|: the purification moves to |0><1|, same state.
-    W = Amplitude(np.diag([1.0, 0.0]))
-    S = GaugeIsometry(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    out = apply_gauge(W, S)
-    assert np.allclose(out.matrix, np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert np.allclose(out.state().matrix, W.state().matrix)
+    W = np.diag([1.0, 0.0])
+    out = apply_gauge(W, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert np.allclose(out, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert np.allclose(out @ out.conj().T, W @ W.conj().T)
 
 
 def test_apply_gauge_support_mismatch():
-    W = Amplitude(np.diag([1.0, 0.0]))
-    S = GaugeIsometry(np.array([[0.0, 0.0], [1.0, 0.0]]))  # left support misses W
+    S = np.array([[0.0, 0.0], [1.0, 0.0]])  # left support misses W
     with pytest.raises(SupportMismatch):
-        apply_gauge(W, S)
+        apply_gauge(np.diag([1.0, 0.0]), S)
 
 
 def test_apply_gauge_dimension_mismatch():
-    W = Amplitude(np.diag([1.0, 0.0]))
     with pytest.raises(DimensionMismatch):
-        apply_gauge(W, GaugeIsometry(np.eye(3)))
+        apply_gauge(np.diag([1.0, 0.0]), np.eye(3))
 
 
 def test_gauge_isometry_validation():
-    with pytest.raises(InvalidState):
-        GaugeIsometry(np.diag([2.0, 0.0]))
+    with pytest.raises(InvalidState, match="partial isometry"):
+        apply_gauge(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]))
 
 
 # --------------------------------------------------------- parallelity_residual
 
 def test_parallelity_of_amplitude_with_itself(rng):
-    W = standard_purification(DensityOperator(random_density_matrix(rng, 4)))
+    W = DensityOperator(random_density_matrix(rng, 4)).sqrt
     assert parallelity_residual(W, W) < 1e-14
 
 
 def test_parallelity_detects_phase():
-    rho = DensityOperator.pure(np.array([1.0, 0.0]))
-    W = standard_purification(rho)
-    W2 = Amplitude(W.matrix * np.exp(1j * np.pi / 2))
-    assert parallelity_residual(W, W2) > 0.5
+    W = DensityOperator.pure(np.array([1.0, 0.0])).sqrt
+    assert parallelity_residual(W, W * np.exp(1j * np.pi / 2)) > 0.5
 
 
 def test_parallelity_swap_symmetry(rng):
-    W = standard_purification(DensityOperator(random_density_matrix(rng, 3)))
-    W2 = Amplitude(random_unitary(rng, 3) @ standard_purification(
-        DensityOperator(random_density_matrix(rng, 3))).matrix)
+    W = DensityOperator(random_density_matrix(rng, 3)).sqrt
+    W2 = random_unitary(rng, 3) @ DensityOperator(random_density_matrix(rng, 3)).sqrt
     assert parallelity_residual(W, W2) == pytest.approx(parallelity_residual(W2, W), abs=1e-12)
 
 
