@@ -42,9 +42,6 @@ def test_pure_and_maximally_mixed():
     assert np.trace(rho.matrix).real == pytest.approx(1.0)
     mm = DensityOperator.maximally_mixed(3)
     assert np.allclose(mm.matrix, np.eye(3) / 3)
-    # The standard purification rho^{1/2}: rho itself for a pure state.
-    assert np.allclose(DensityOperator.pure(np.array([1.0, 0.0])).sqrt, np.diag([1.0, 0.0]))
-    assert np.allclose(DensityOperator.maximally_mixed(2).sqrt, np.eye(2) / np.sqrt(2))
 
 
 def test_support_projector_of_state():
@@ -52,6 +49,18 @@ def test_support_projector_of_state():
     P = rho.support
     expected = dyad(PSI_PLUS, PSI_PLUS) + dyad(PSI_MINUS, PSI_MINUS)
     assert np.allclose(P, expected, atol=1e-12)
+
+
+# ------------------------------------------- standard purification rho^{1/2}
+
+def test_purification_of_pure_state():
+    rho = DensityOperator.pure(np.array([1.0, 0.0]))
+    assert np.allclose(rho.sqrt, np.diag([1.0, 0.0]))
+
+
+def test_purification_of_maximally_mixed():
+    W = DensityOperator.maximally_mixed(2).sqrt
+    assert np.allclose(W, np.eye(2) / np.sqrt(2))
 
 
 def test_purification_recovers_state(rng):
