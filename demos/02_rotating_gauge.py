@@ -3,7 +3,7 @@
 # The drive implements the same flip as the static Hamiltonian, but along
 # a different path in state space. Parallel transport then requires a
 # nontrivial gauge B(t) on the ancilla: a rotation inside the Psi plane
-# with angle gamma(t) = sqrt(eps) * omega * t / (1 + eps). We verify that
+# with angle gamma(t) = sqrt(eps) * u * t / (1 + eps). We verify that
 # the closed form solves the operator transport equation with
 # second-order accuracy in the grid, then recover the same gauge
 # numerically from the transported amplitudes.

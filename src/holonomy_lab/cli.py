@@ -58,9 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--scenario", required=True, help="preset name (bell-static, bell-rotating) or scenario file path")
-        p.add_argument("--epsilon", type=float, default=None, help="Bell mixture weight override")
-        p.add_argument("--steps", type=int, default=None, help="transport grid steps override")
-        p.add_argument("--u", type=float, default=None, help="rotating-frame scale override")
+        p.add_argument("--epsilon", type=float, default=None, help="Bell mixture weight override (presets only)")
+        p.add_argument("--steps", type=int, default=None, help="transport grid steps override (presets only)")
+        p.add_argument("--u", type=float, default=None, help="rotating-frame scale override (presets only)")
         p.add_argument("--tol", type=float, default=None, help="global tolerance, 0 < tol < 1 (default HOLONOMY_LAB_TOL or 1e-9)")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
@@ -84,9 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, output) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ScenarioFormatError(f"--output: cannot write {output!r}: {exc.strerror or exc}") from None
 
 
 def _phase_entry(diag) -> object:
@@ -113,15 +116,23 @@ def _diag_block(diag, closed_form_error=None):
     return block
 
 
+# Preset parameter, as a run flag and a sweep parameter -> (BellScenario field, parser of one value).
+_PRESET_PARAMETERS = {"epsilon": ("epsilon", _as_number), "steps": ("n_steps", _as_int), "u": ("u", _as_number)}
+
+
 def _load_config(args) -> ScenarioConfig:
     tol = _base_tol(args)
     if args.scenario in PRESETS:
         cfg = parse_scenario({"format_version": 1, "scenario": args.scenario}, name=args.scenario, base_tol=tol)
     else:
         cfg = load_scenario(args.scenario, base_tol=tol)
-    if cfg.preset is not None:
-        flags = {"epsilon": args.epsilon, "u": args.u, "n_steps": args.steps}
-        cfg.preset = replace(cfg.preset, **{k: v for k, v in flags.items() if v is not None})
+    flags = {name: getattr(args, name) for name in _PRESET_PARAMETERS if getattr(args, name) is not None}
+    if cfg.preset is None:
+        if flags:
+            flag = next(iter(flags))
+            raise ScenarioFormatError(f"--{flag}: applies to preset scenarios only; {args.scenario} is not one")
+        return cfg
+    cfg.preset = replace(cfg.preset, **{_PRESET_PARAMETERS[name][0]: v for name, v in flags.items()})
     return cfg
 
 
@@ -189,7 +200,7 @@ def _report_generic(cfg: ScenarioConfig, dump_isometry: bool) -> dict:
     eye = np.eye(cfg.dimension, dtype=complex)
     invariants = []
     for seq in cfg.invariants:
-        X = off_diagonal_invariant([results[j] for j in seq], indices=seq)
+        X = off_diagonal_invariant([results[j] for j in seq])
         name = "X_" + "".join(str(j) for j in seq)
         block = {"name": name, "indices": list(seq)}
         block.update(_diag_block(nu_functional(eye, X, phase_tol)))
@@ -229,17 +240,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
-# Sweep parameter -> (BellScenario field, parser of one value).
-_SWEEP_PARAMETERS = {"epsilon": ("epsilon", _as_number), "steps": ("n_steps", _as_int), "u": ("u", _as_number)}
-
-
 def _cmd_sweep(args) -> int:
-    if args.parameter not in _SWEEP_PARAMETERS:
+    if args.parameter not in _PRESET_PARAMETERS:
         raise UnknownParameter(
-            f"parameter must be one of {', '.join(_SWEEP_PARAMETERS)}, got {args.parameter!r}"
+            f"parameter must be one of {', '.join(_PRESET_PARAMETERS)}, got {args.parameter!r}"
         )
     # The rules of the matching scenario-file keys: steps must be integers.
-    attr, convert = _SWEEP_PARAMETERS[args.parameter]
+    attr, convert = _PRESET_PARAMETERS[args.parameter]
     values = [convert(v, "values") for v in args.values.split(",") if v.strip()]
     cfg = _load_config(args)
     if cfg.preset is None:
@@ -274,6 +281,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ScenarioFormatError(f"--seed: expected a non-negative integer, got {args.seed}")
     try:
         results = run_properties(seed=args.seed, only=args.only)
     except ValueError as exc:

@@ -129,13 +129,11 @@ class DiscrepancyReport:
     """Both off-diagonal phase assignments for one nominal evolution."""
 
     interferometric: InterferometricPhase
-    holonomy_trace: complex
     nu: float | None
     gamma: float | None
     difference: float | None
     eigenstate_transport_residual: float
     rank_one: bool
-    order: int
     n_steps: int
 
 
@@ -217,12 +215,10 @@ def discrepancy_report(
         difference = wrap_angle(gamma.phase - diag.phase)
     return DiscrepancyReport(
         interferometric=gamma,
-        holonomy_trace=diag.trace,
         nu=diag.phase,
         gamma=gamma.phase,
         difference=difference,
         eigenstate_transport_residual=residual,
         rank_one=rank_one,
-        order=l,
         n_steps=0 if use_closed_form else grid.n_steps,
     )

@@ -92,61 +92,49 @@ class StaticHamiltonian:
 
 @dataclass(frozen=True)
 class RotatingFrame:
-    """Resonant spin-flipper drive on the first factor of a bipartite space.
+    """Resonant spin-flipper drive on the first qubit of two, with free scale u > 0.
 
     The propagator is the closed-form product
 
-        U(t) = exp(+i t H_eff) exp(+i omega t sigma_z / 2)  (x) identity,
-        H_eff = (u_z + omega/2) sigma_z + u_xy sigma_x.
+        U(t) = exp(+i t H_eff) exp(+i u t sigma_z / 2)  (x) identity,
+        H_eff = -(u/2) sigma_x,
 
-    The relative phases of the two factors are fixed so that the
-    closed-form ancilla gauge of the Bell scenarios solves the parallel
-    transport equation; see ``rotating_generator`` for the instantaneous
-    Hermitian generator of this family.
+    on [0, tau] with tau = pi / u. The relative phases of the two factors
+    are fixed so that the closed-form ancilla gauge of the Bell scenarios
+    solves the parallel transport equation; see ``rotating_generator`` for
+    the instantaneous Hermitian generator of this family.
     """
 
-    u_z: float
-    u_xy: float
-    omega: float
-    tau: float
-    subsystem_dims: tuple[int, int] = (2, 2)
+    u: float
     _eigh: tuple = field(init=False, repr=False, compare=False)
-    _sigma_z_eigh: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.subsystem_dims[0] != 2:
-            raise ValueError("the driven subsystem must be a qubit")
-        if self.tau < 0:
-            raise ValueError("tau must be non-negative")
-        object.__setattr__(self, "_eigh", hermitian_eigh(self.effective_hamiltonian))
-        object.__setattr__(self, "_sigma_z_eigh", hermitian_eigh(SIGMA_Z))
-
-    @classmethod
-    def spin_flipper(cls, u: float = 1.0) -> "RotatingFrame":
-        """Single free scale u > 0: u_z = u_xy = -u/2, omega = u, tau = pi/omega."""
-        if u <= 0:
+        if not self.u > 0:
             raise ValueError("the free scale u must be positive")
-        return cls(u_z=-u / 2, u_xy=-u / 2, omega=u, tau=np.pi / u)
+        object.__setattr__(self, "_eigh", hermitian_eigh(self.effective_hamiltonian))
+
+    @property
+    def tau(self) -> float:
+        return np.pi / self.u
 
     @property
     def dim(self) -> int:
-        return self.subsystem_dims[0] * self.subsystem_dims[1]
+        return 4
 
     @property
     def effective_hamiltonian(self) -> np.ndarray:
-        return (self.u_z + self.omega / 2) * SIGMA_Z + self.u_xy * SIGMA_X
+        return -(self.u / 2) * SIGMA_X
 
 
 @dataclass(frozen=True)
 class SampledUnitaries:
-    """Explicit unitaries on a grid; queries off the grid are errors."""
+    """Explicit unitaries on a grid, held as one (k, d, d) stack; queries off the grid are errors."""
 
-    unitaries: tuple
+    unitaries: np.ndarray
     grid: TimeGrid
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        us = tuple(as_square_matrix(U) for U in self.unitaries)
+        us = [as_square_matrix(U) for U in self.unitaries]
         if len(us) != self.grid.times.size:
             raise ValueError("one unitary per grid time is required")
         dim = us[0].shape[0]
@@ -159,9 +147,7 @@ class SampledUnitaries:
         bad = first_norm_above(dagger(stack) @ stack - eye, DEFAULT_TOL * dim)
         if bad is not None:
             raise NotUnitary(f"sample {bad[0]} is not unitary within tolerance")
-        # The samples are views of the one stack that array times index.
-        object.__setattr__(self, "unitaries", tuple(stack))
-        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "unitaries", stack)
 
     @property
     def tau(self) -> float:
@@ -169,7 +155,7 @@ class SampledUnitaries:
 
     @property
     def dim(self) -> int:
-        return self.unitaries[0].shape[0]
+        return self.unitaries.shape[1]
 
     def sample_index(self, t):
         """Index of the sample taken at time t; GridMiss when there is none.
@@ -183,10 +169,13 @@ class SampledUnitaries:
 EvolutionSpec = StaticHamiltonian | RotatingFrame | SampledUnitaries
 
 
-def _on_driven_qubit(a: np.ndarray, m: int) -> np.ndarray:
-    """kron(a, identity_m), also on a stack, with np.kron's products but without its overhead."""
-    eye = np.eye(m, dtype=complex)
-    return (a[..., :, None, :, None] * eye[:, None, :]).reshape(a.shape[:-2] + (2 * m, 2 * m))
+_SIGMA_Z_EIGH = hermitian_eigh(SIGMA_Z)
+
+
+def _on_driven_qubit(a: np.ndarray) -> np.ndarray:
+    """kron(a, identity_2), also on a stack, with np.kron's products but without its overhead."""
+    eye = np.eye(2, dtype=complex)
+    return (a[..., :, None, :, None] * eye[:, None, :]).reshape(a.shape[:-2] + (4, 4))
 
 
 def first_time_outside(t, tau: float):
@@ -246,13 +235,11 @@ def unitary_at(spec: EvolutionSpec, t) -> np.ndarray:
     if isinstance(spec, StaticHamiltonian):
         return eigh_exp(*spec._eigh, t)
     if isinstance(spec, RotatingFrame):
-        # exp(+i t H_eff) exp(+i omega t sigma_z / 2) on the driven qubit.
+        # exp(+i t H_eff) exp(+i u t sigma_z / 2) on the driven qubit.
         left = eigh_exp(*spec._eigh, -t)
-        right = eigh_exp(*spec._sigma_z_eigh, -spec.omega * t / 2)
-        return _on_driven_qubit(left @ right, spec.subsystem_dims[1])
+        right = eigh_exp(*_SIGMA_Z_EIGH, -spec.u * t / 2)
+        return _on_driven_qubit(left @ right)
     if isinstance(spec, SampledUnitaries):
-        if isinstance(t, np.ndarray):
-            return spec._stack[spec.sample_index(t)]
         return spec.unitaries[spec.sample_index(t)]
     raise TypeError(f"unknown evolution spec {type(spec).__name__}")
 
@@ -268,9 +255,9 @@ def rotating_generator(spec: RotatingFrame, t) -> np.ndarray:
         raise TypeError("rotating_generator needs a RotatingFrame spec")
     heff = spec.effective_hamiltonian
     R = eigh_exp(*spec._eigh, -t)  # exp(+i t H_eff)
-    h = -heff - (spec.omega / 2) * (R @ SIGMA_Z @ dagger(R))
+    h = -heff - (spec.u / 2) * (R @ SIGMA_Z @ dagger(R))
     h = (h + dagger(h)) / 2
-    return _on_driven_qubit(h, spec.subsystem_dims[1])
+    return _on_driven_qubit(h)
 
 
 def density_path(rho0: DensityOperator, spec: EvolutionSpec, grid: TimeGrid) -> DensityPath:

@@ -41,11 +41,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OffDiagInvariant:
-    """Ordered product of single-path holonomy invariants."""
+    """Ordered product of single-path holonomy invariants; its order is len(constituents)."""
 
     operator: np.ndarray
-    order: int
-    path_indices: tuple
     constituents: tuple
 
 
@@ -93,7 +91,7 @@ def _operator(X) -> np.ndarray:
     return X.invariant if isinstance(X, TransportResult) else as_square_matrix(X)
 
 
-def off_diagonal_invariant(results, indices=None) -> OffDiagInvariant:
+def off_diagonal_invariant(results) -> OffDiagInvariant:
     """Multiply the invariants of the given transports, in order.
 
     Order 1 reduces exactly to the single-path holonomy invariant.
@@ -105,17 +103,10 @@ def off_diagonal_invariant(results, indices=None) -> OffDiagInvariant:
     for m in mats:
         if m.shape[0] != dim:
             raise DimensionMismatch("constituent invariants differ in dimension")
-    if indices is None:
-        indices = tuple(range(1, len(mats) + 1))
     op = mats[0]
     for m in mats[1:]:
         op = op @ m
-    return OffDiagInvariant(
-        operator=op,
-        order=len(mats),
-        path_indices=tuple(int(i) for i in indices),
-        constituents=tuple(mats),
-    )
+    return OffDiagInvariant(operator=op, constituents=tuple(mats))
 
 
 def support_overlap(X, tol: float = DEFAULT_TOL) -> float:
@@ -164,7 +155,7 @@ def holonomy_isometry(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     return polar_isometry(op, tol)
 
 
-def alternative_ordering(results, indices=None) -> np.ndarray:
+def alternative_ordering(results) -> np.ndarray:
     """Cyclically shifted product W_1^dag(0) X_2 ... X_l W_1(tau).
 
     Shares its trace with the standard ordering but transforms as

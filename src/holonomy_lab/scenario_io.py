@@ -177,7 +177,7 @@ def _parse_evolution(entry, fieldname: str):
     if variant == "rotating":
         u = _as_number(entry.get("u", 1.0), f"{fieldname}.u")
         try:
-            return RotatingFrame.spin_flipper(u)
+            return RotatingFrame(u)
         except ValueError as exc:
             _fail(f"{fieldname}.u", str(exc))
     if variant == "sampled":
@@ -193,7 +193,7 @@ def _parse_evolution(entry, fieldname: str):
             times = _as_list(times, f"{fieldname}.times")
             grid = TimeGrid(np.array([_as_number(t, f"{fieldname}.times") for t in times]))
         try:
-            return SampledUnitaries(tuple(us), grid)
+            return SampledUnitaries(us, grid)
         except Exception as exc:
             _fail(fieldname, str(exc))
     _fail(f"{fieldname}.variant", f"expected static, rotating or sampled, got {variant!r}")

@@ -129,26 +129,22 @@ class BellScenario:
     def tau(self) -> float:
         return np.pi / 2 if self.variant == "static" else np.pi / self.u
 
-    @property
-    def omega(self) -> float:
-        return self.u
-
 
 def evolution_spec(s: BellScenario):
     """The evolution behind the scenario: a static flip or the rotating drive."""
     if s.variant == "static":
         return StaticHamiltonian(np.kron(SIGMA_Y, np.eye(2, dtype=complex)), tau=s.tau)
-    return RotatingFrame.spin_flipper(s.u)
+    return RotatingFrame(s.u)
 
 
 def gauge_angle(s: BellScenario, t):
-    """Accumulated ancilla-gauge angle sqrt(eps) * omega * t / (1 + eps).
+    """Accumulated ancilla-gauge angle sqrt(eps) * u * t / (1 + eps).
 
     A float for one time, an array for a 1-D array of times.
     """
     if s.variant != "rotating":
         raise WrongVariant("the closed-form gauge angle belongs to the rotating variant")
-    gamma = np.sqrt(s.epsilon) * s.omega * t / (1 + s.epsilon)
+    gamma = np.sqrt(s.epsilon) * s.u * t / (1 + s.epsilon)
     return gamma if isinstance(t, np.ndarray) else float(gamma)
 
 
@@ -246,26 +242,25 @@ class ScenarioReport:
 
 def run_bell_scenario(
     s: BellScenario,
-    reference_state: DensityOperator | None = None,
     tol: float = DEFAULT_TOL,
     phase_tol: float | None = None,
 ) -> ScenarioReport:
     """Transport both Bell paths and assemble the order-1 and order-2 invariants.
 
-    ``reference_state`` overrides the default second path start
-    rho_2(0) = rho_1(tau). Diagnoses use the identity observable;
-    ``phase_tol`` overrides the phase-defined threshold.
+    The second path starts at rho_2(0) = rho_1(tau). Diagnoses use the
+    identity observable; ``phase_tol`` overrides the phase-defined
+    threshold.
     """
     spec = evolution_spec(s)
     grid = TimeGrid.uniform(s.tau, s.n_steps)
     rho1 = bell_mixture(s.epsilon)
-    rho2 = _rho2_initial(s) if reference_state is None else reference_state
+    rho2 = _rho2_initial(s)
 
     r1 = discrete_holonomy(density_path(rho1, spec, grid), tol)
     r2 = discrete_holonomy(density_path(rho2, spec, grid), tol)
-    x1 = off_diagonal_invariant([r1], indices=(1,))
-    x2 = off_diagonal_invariant([r2], indices=(2,))
-    x12 = off_diagonal_invariant([r1, r2], indices=(1, 2))
+    x1 = off_diagonal_invariant([r1])
+    x2 = off_diagonal_invariant([r2])
+    x12 = off_diagonal_invariant([r1, r2])
 
     eye = np.eye(4, dtype=complex)
     phase_tol = tol if phase_tol is None else phase_tol
@@ -274,26 +269,18 @@ def run_bell_scenario(
         "X2": nu_functional(eye, x2, phase_tol),
         "X12": nu_functional(eye, x12, phase_tol),
     }
-    if reference_state is None:
-        cf1, cf2, cf12 = closed_form_invariants(s)
-        closed_form_errors = {
-            "X1": op_norm(x1.operator - cf1),
-            "X2": op_norm(x2.operator - cf2),
-            "X12": op_norm(x12.operator - cf12),
-        }
-        variant_distance = op_norm(cf12 - variant_form_X12(s))
-    else:
-        # The closed forms assume the default reference rho_2(0) = rho_1(tau).
-        cf1 = closed_form_invariants(s)[0]
-        closed_form_errors = {"X1": op_norm(x1.operator - cf1)}
-        variant_distance = float("nan")
+    cf1, cf2, cf12 = closed_form_invariants(s)
     return ScenarioReport(
         X1=x1.operator,
         X2=x2.operator,
         X12=x12.operator,
         diagnoses=diagnoses,
-        closed_form_errors=closed_form_errors,
-        variant_form_distance=variant_distance,
+        closed_form_errors={
+            "X1": op_norm(x1.operator - cf1),
+            "X2": op_norm(x2.operator - cf2),
+            "X12": op_norm(x12.operator - cf12),
+        },
+        variant_form_distance=op_norm(cf12 - variant_form_X12(s)),
         transport_residuals={
             "path1": r1.max_step_parallelity_residual,
             "path2": r2.max_step_parallelity_residual,

@@ -274,7 +274,7 @@ def check_path_spectrum(rng):
 
 def check_integrator_oracle(rng):
     """Closed-form rotating product vs a time-ordered midpoint integrator."""
-    spec = RotatingFrame.spin_flipper(1.0)
+    spec = RotatingFrame(1.0)
     n = 20000
     ts = np.linspace(0.0, spec.tau, n + 1)
     dt = ts[1] - ts[0]

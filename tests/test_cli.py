@@ -257,6 +257,22 @@ def test_seed_flag_is_verify_only(capsys, command):
     assert "--seed" in err
 
 
+def test_verify_rejects_a_negative_seed_naming_the_flag(capsys):
+    assert run_cli(capsys, "verify", "--seed", "-1") == (
+        1, "", "error: --seed: expected a non-negative integer, got -1\n"
+    )
+
+
+@pytest.mark.parametrize("flag, value", [("--epsilon", "0.3"), ("--u", "2"), ("--steps", "7")])
+def test_preset_flags_on_a_file_scenario_exit_one(capsys, flag, value):
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "demos" / "example_scenario.yaml"
+    code, out, err = run_cli(capsys, "run", "--scenario", str(path), flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag}: applies to preset scenarios only; {path} is not one\n"
+
+
 def test_run_dump_isometry(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--scenario", "bell-static", "--steps", "64",
@@ -310,6 +326,19 @@ def test_run_output_file_and_determinism(tmp_path, capsys):
         )
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ("run", "--scenario", "bell-static", "--steps", "10"),
+    ("sweep", "--scenario", "bell-static", "--parameter", "epsilon", "--values", "0.5", "--steps", "10"),
+    ("verify", "--only", "trace-cyclic"),
+])
+def test_unwritable_output_exits_one_naming_the_flag(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, *command, "--output", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: --output: cannot write {str(target)!r}: ") and err.count("\n") == 1, err
+    assert not target.parent.exists()
 
 
 def test_json_and_csv_numbers_agree(capsys):

@@ -44,7 +44,7 @@ def test_grid_validation():
 def test_identity_at_time_zero(rng):
     static = StaticHamiltonian(random_hermitian(rng, 3), tau=1.0)
     assert np.allclose(unitary_at(static, 0.0), np.eye(3))
-    rot = RotatingFrame.spin_flipper(1.0)
+    rot = RotatingFrame(1.0)
     assert np.allclose(unitary_at(rot, 0.0), np.eye(4))
 
 
@@ -54,14 +54,19 @@ def test_static_spin_flip_endpoint():
 
 
 def test_rotating_endpoint_matches_static_flip():
-    # The rotating drive implements the same flip at t = pi / omega.
+    # The rotating drive implements the same flip at t = pi / u.
     for u in (0.5, 1.0, 2.0):
-        spec = RotatingFrame.spin_flipper(u)
+        spec = RotatingFrame(u)
+        assert spec.tau == np.pi / u
+        assert np.array_equal(spec.effective_hamiltonian, -(u / 2) * SIGMA_X)
         assert np.allclose(unitary_at(spec, spec.tau), usf_matrix(), atol=1e-12)
+    for u in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^the free scale u must be positive$"):
+            RotatingFrame(u)
 
 
 def test_rotating_is_unitary_along_the_path():
-    spec = RotatingFrame.spin_flipper(1.0)
+    spec = RotatingFrame(1.0)
     for t in np.linspace(0.0, spec.tau, 13):
         U = unitary_at(spec, float(t))
         assert op_norm(U.conj().T @ U - np.eye(4)) < 1e-12
@@ -114,13 +119,16 @@ def _warped_sampled_spec(tau, n):
 
 def test_sampled_lookup_on_grid_and_at_tau():
     spec = _warped_sampled_spec(7.3, 50)
+    last = len(spec.unitaries) - 1
     for k, t in enumerate(spec.grid.times):
-        assert unitary_at(spec, float(t)) is spec.unitaries[k]
+        assert spec.sample_index(float(t)) == k
+        assert np.array_equal(unitary_at(spec, float(t)), spec.unitaries[k])
     # tau reached by accumulating equal steps carries round-off; it still hits.
     for n in (49, 50, 70):
         summed = sum([spec.tau / n] * n)
         assert summed != spec.tau
-        assert unitary_at(spec, summed) is spec.unitaries[-1]
+        assert spec.sample_index(summed) == last
+        assert np.array_equal(unitary_at(spec, summed), spec.unitaries[last])
 
 
 def test_sampled_lookup_off_grid():
@@ -149,7 +157,8 @@ def test_sampled_lookup_agrees_with_grid_scan():
                 with pytest.raises(GridMiss):
                     unitary_at(spec, t)
             else:
-                assert unitary_at(spec, t) is spec.unitaries[int(hits[0])]
+                assert spec.sample_index(t) == hits[0]
+                assert np.array_equal(unitary_at(spec, t), spec.unitaries[hits[0]])
 
 
 def test_sampled_validation():
@@ -223,7 +232,7 @@ def test_sampled_validation_dimension_mismatch():
 
 def test_rotating_generator_matches_finite_difference():
     # i dU/dt U^dag by central differences should reproduce the generator.
-    spec = RotatingFrame.spin_flipper(1.3)
+    spec = RotatingFrame(1.3)
     h = 1e-6
     for t in (0.3, 1.1, 2.0):
         up = unitary_at(spec, t + h)
@@ -235,7 +244,7 @@ def test_rotating_generator_matches_finite_difference():
 
 def test_rotating_closed_form_vs_short_step_integrator():
     # Independent oracle: time-ordered product of midpoint exponentials.
-    spec = RotatingFrame.spin_flipper(1.0)
+    spec = RotatingFrame(1.0)
     n = 4000
     ts = np.linspace(0.0, spec.tau, n + 1)
     dt = ts[1] - ts[0]
@@ -255,7 +264,7 @@ def _array_cases():
     sampled = SampledUnitaries(tuple(unitary_exp(H, float(t)) for t in uniform.times), uniform)
     return {
         "static": (StaticHamiltonian(H, tau=1.5), np.linspace(0.0, 1.5, 2 * PATH_CHUNK + 7)),
-        "rotating": (RotatingFrame.spin_flipper(1.3), np.linspace(0.0, np.pi / 1.3, PATH_CHUNK + 9)),
+        "rotating": (RotatingFrame(1.3), np.linspace(0.0, np.pi / 1.3, PATH_CHUNK + 9)),
         "sampled": (sampled, uniform.times[::-1]),
         "sampled-non-uniform": (warped, warped.grid.times),
     }

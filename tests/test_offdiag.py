@@ -45,7 +45,7 @@ def _constant_result(rho: DensityOperator) -> TransportResult:
 def test_order_one_constant_path():
     rho = DensityOperator(rho1_matrix(0.5))
     X = off_diagonal_invariant([_constant_result(rho)])
-    assert X.order == 1
+    assert len(X.constituents) == 1
     assert np.allclose(X.operator, rho.matrix)
 
 
@@ -57,9 +57,8 @@ def test_order_two_static_bell_matches_brute_force():
         TransportResult(usf, w1, usf @ w1, usf @ r1, 0.0, 1),
         TransportResult(usf, w2, usf @ w2, usf @ r2, 0.0, 1),
     ]
-    X = off_diagonal_invariant(results, indices=(1, 2))
+    X = off_diagonal_invariant(results)
     assert np.allclose(X.operator, usf @ r1 @ usf @ r2, atol=1e-12)
-    assert X.path_indices == (1, 2)
     # Factorization: operator equals the ordered product of constituents.
     assert np.allclose(X.operator, X.constituents[0] @ X.constituents[1], atol=1e-14)
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from holonomy_lab.errors import NegativeWeight, WrongVariant
+from holonomy_lab.evolution import TimeGrid, density_path
 from holonomy_lab.linalg import is_partial_isometry, op_norm
+from holonomy_lab.offdiag import off_diagonal_invariant
 from holonomy_lab.scenarios import (
     BellScenario,
     bell_basis,
@@ -10,6 +12,7 @@ from holonomy_lab.scenarios import (
     bell_mixture,
     closed_form_B_r1,
     closed_form_invariants,
+    evolution_spec,
     from_bell_basis,
     gauge_angle,
     variant_form_X12,
@@ -17,6 +20,7 @@ from holonomy_lab.scenarios import (
     spin_flip_unitary,
     to_bell_basis,
 )
+from holonomy_lab.transport import discrete_holonomy
 from conftest import (
     PHI_MINUS,
     PHI_PLUS,
@@ -252,11 +256,13 @@ def test_rotating_scenario_report_small_grid():
 
 
 def test_reference_state_override():
-    # Supplying rho_1(0) itself as the reference puts both paths on the
-    # same orbit, and the order-2 invariant vanishes (Phi/Psi mismatch).
+    # Taking rho_1(0) itself as the reference puts both paths on the same
+    # orbit, and the order-2 invariant is traceless (Phi/Psi mismatch).
     s = BellScenario(epsilon=0.5, variant="static", n_steps=100)
-    rep = run_bell_scenario(s, reference_state=bell_mixture(0.5))
-    assert rep.diagnoses["X12"].trace_magnitude < 1e-10
+    grid = TimeGrid.uniform(s.tau, s.n_steps)
+    r = discrete_holonomy(density_path(bell_mixture(0.5), evolution_spec(s), grid))
+    X12 = off_diagonal_invariant([r, r])
+    assert abs(np.trace(X12.operator)) < 1e-10
 
 
 def test_scenario_validation():

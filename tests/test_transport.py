@@ -158,7 +158,7 @@ def _orbit_cases():
     H = random_hermitian(rng, 5)
     warped = TimeGrid(1.1 * np.linspace(0.0, 1.0, PATH_CHUNK + 10) ** 2)
     sampled = SampledUnitaries(tuple(unitary_exp(H, t) for t in warped.times), warped)
-    rotating = RotatingFrame.spin_flipper(1.0)
+    rotating = RotatingFrame(1.0)
     return {
         "static": (random_density_matrix(rng, 5, rank=3), StaticHamiltonian(H, tau=1.1), TimeGrid.uniform(1.1, PATH_CHUNK + 9)),
         "rotating": (random_density_matrix(rng, 4, rank=2), rotating, TimeGrid.uniform(rotating.tau, PATH_CHUNK + 9)),
