@@ -61,11 +61,11 @@ from .transport import (
 )
 from .offdiag import (
     NodalDiagnosis,
-    OffDiagInvariant,
     alternative_ordering,
     holonomy_isometry,
     nu_functional,
     off_diagonal_invariant,
+    sequence_invariants,
     support_overlap,
 )
 from .compare import (
@@ -77,11 +77,13 @@ from .compare import (
     wrap_angle,
 )
 from .scenarios import (
+    BELL_INVARIANTS,
     BellScenario,
     ScenarioReport,
     bell_basis,
     bell_matrix,
     bell_mixture,
+    bell_paths,
     closed_form_B_r1,
     closed_form_invariants,
     evolution_spec,

@@ -23,13 +23,20 @@ from .errors import (
     UnknownParameter,
     ZeroOperator,
 )
-from .evolution import density_path
-from .linalg import DEFAULT_TOL
-from .offdiag import holonomy_isometry, nu_functional, off_diagonal_invariant
+from .linalg import DEFAULT_TOL, op_norm
+from .offdiag import holonomy_isometry, nu_functional, sequence_invariants
 from .report import UNDEFINED, encode_complex, encode_matrix, fmt, to_csv_rows, to_json, to_text
-from .scenario_io import PRESETS, ScenarioConfig, _as_int, _as_number, as_tolerance, load_scenario, parse_scenario
-from .scenarios import BellScenario, bell_basis, evolution_spec, run_bell_scenario
-from .transport import discrete_holonomy
+from .scenario_io import PRESET_PARAMETERS, PRESETS, ScenarioConfig, as_tolerance, load_scenario, parse_scenario
+from .scenarios import (
+    BELL_INVARIANTS,
+    BellScenario,
+    bell_basis,
+    bell_paths,
+    closed_form_invariants,
+    evolution_spec,
+    run_bell_scenario,
+    variant_form_X12,
+)
 from .verify import property_groups, run_properties
 
 _PARSE_ERRORS = (ScenarioFormatError, UnknownParameter, NegativeWeight, ValueError)
@@ -104,132 +111,98 @@ def _isometry_entry(X, tol: float) -> object:
         return UNDEFINED
 
 
-def _diag_block(diag, closed_form_error=None):
-    block = {
-        "trace": encode_complex(diag.trace),
-        "trace_magnitude": diag.trace_magnitude,
-        "nu": _phase_entry(diag),
-        "support_overlap": diag.support_overlap,
-    }
-    if closed_form_error is not None:
-        block["closed_form_error"] = closed_form_error
-    return block
-
-
-# Preset parameter, as a run flag and a sweep parameter -> (BellScenario field, parser of one value).
-_PRESET_PARAMETERS = {"epsilon": ("epsilon", _as_number), "steps": ("n_steps", _as_int), "u": ("u", _as_number)}
-
-
 def _load_config(args) -> ScenarioConfig:
     tol = _base_tol(args)
     if args.scenario in PRESETS:
         cfg = parse_scenario({"format_version": 1, "scenario": args.scenario}, name=args.scenario, base_tol=tol)
     else:
         cfg = load_scenario(args.scenario, base_tol=tol)
-    flags = {name: getattr(args, name) for name in _PRESET_PARAMETERS if getattr(args, name) is not None}
+    # In the flags' own (alphabetical) order, so the first one given is named.
+    flags = {name: getattr(args, name) for name in sorted(PRESET_PARAMETERS) if getattr(args, name) is not None}
     if cfg.preset is None:
         if flags:
             flag = next(iter(flags))
             raise ScenarioFormatError(f"--{flag}: applies to preset scenarios only; {args.scenario} is not one")
         return cfg
-    cfg.preset = replace(cfg.preset, **{_PRESET_PARAMETERS[name][0]: v for name, v in flags.items()})
+    cfg.preset = replace(cfg.preset, **{PRESET_PARAMETERS[name][0]: v for name, v in flags.items()})
     return cfg
 
 
-def _run_preset(cfg: ScenarioConfig, s: BellScenario):
-    return run_bell_scenario(s, tol=cfg.tolerances["transport"], phase_tol=cfg.tolerances["phase"])
-
-
-def _report_preset(cfg: ScenarioConfig, dump_isometry: bool) -> dict:
-    s = cfg.preset
-    rep = _run_preset(cfg, s)
-    invariants = []
-    for name, indices in (("X1", [1]), ("X2", [2]), ("X12", [1, 2])):
-        block = {"name": name, "indices": indices}
-        block.update(_diag_block(rep.diagnoses[name], rep.closed_form_errors[name]))
-        if dump_isometry:
-            block["isometry"] = _isometry_entry(getattr(rep, name), cfg.tolerances["transport"])
-        invariants.append(block)
-    report = {
-        "format_version": 1,
-        "scenario": cfg.name,
-        "parameters": {
-            "variant": s.variant,
-            "epsilon": s.epsilon,
-            "u": s.u,
-            "steps": s.n_steps,
-            "tau": s.tau,
-        },
-        "invariants": invariants,
-        "transport": {
-            "n_steps": s.n_steps,
-            "max_step_parallelity_residual": max(rep.transport_residuals.values()),
-            "per_path": dict(rep.transport_residuals),
-        },
-        "forms": {"variant_form_distance": rep.variant_form_distance},
+def _comparison(s: BellScenario) -> dict:
+    """The pure limit's interferometric phase beside the holonomy phase."""
+    psi_plus, psi_minus, phi_plus, phi_minus = bell_basis()
+    family = PermutedFamily(
+        np.array([1.0, 0.0, 0.0, 0.0]),
+        np.column_stack([psi_minus, phi_plus, psi_plus, phi_minus]),
+        ((0, 1, 2, 3), (1, 0, 2, 3)),
+    )
+    comp = discrepancy_report(evolution_spec(s), family, l=2)
+    return {
+        "gamma": comp.gamma if comp.interferometric.defined else UNDEFINED,
+        "gamma_trace": encode_complex(comp.interferometric.trace),
+        "nu": comp.nu if comp.nu is not None else UNDEFINED,
+        "difference": comp.difference if comp.difference is not None else UNDEFINED,
     }
-    if s.epsilon == 0.0:
-        # Pure limit: the interferometric pipeline is on equal footing.
-        psi_plus, psi_minus, phi_plus, phi_minus = bell_basis()
-        family = PermutedFamily(
-            np.array([1.0, 0.0, 0.0, 0.0]),
-            np.column_stack([psi_minus, phi_plus, psi_plus, phi_minus]),
-            ((0, 1, 2, 3), (1, 0, 2, 3)),
-        )
-        comp = discrepancy_report(evolution_spec(s), family, l=2)
-        report["comparison"] = {
-            "gamma": comp.gamma if comp.interferometric.defined else UNDEFINED,
-            "gamma_trace": encode_complex(comp.interferometric.trace),
-            "nu": comp.nu if comp.nu is not None else UNDEFINED,
-            "difference": comp.difference if comp.difference is not None else UNDEFINED,
-        }
-    return report
 
 
-def _report_generic(cfg: ScenarioConfig, dump_isometry: bool) -> dict:
+def _report(cfg: ScenarioConfig, dump_isometry: bool) -> dict:
+    """The run report of a preset or a file scenario; presets add their closed forms."""
     tol = cfg.tolerances["transport"]
     phase_tol = cfg.tolerances["phase"]
-    needed = sorted({j for seq in cfg.invariants for j in seq})
-    results = {}
-    residuals = {}
-    for j in needed:
-        path = density_path(cfg.states[j - 1], cfg.spec, cfg.grid)
-        res = discrete_holonomy(path, tol)
-        results[j] = res
-        residuals[f"path{j}"] = res.max_step_parallelity_residual
-    eye = np.eye(cfg.dimension, dtype=complex)
-    invariants = []
-    for seq in cfg.invariants:
-        X = off_diagonal_invariant([results[j] for j in seq])
-        name = "X_" + "".join(str(j) for j in seq)
-        block = {"name": name, "indices": list(seq)}
-        block.update(_diag_block(nu_functional(eye, X, phase_tol)))
-        for obs_name, A in cfg.observables.items():
+    s = cfg.preset
+    if s is None:
+        states, spec, grid = cfg.states, cfg.spec, cfg.grid
+        sequences, observables, prefix, closed = cfg.invariants, cfg.observables, "X_", {}
+        parameters = {"dimension": cfg.dimension, "steps": grid.n_steps, "tau": grid.tau}
+    else:
+        states, spec, grid = bell_paths(s)
+        sequences, observables, prefix = BELL_INVARIANTS, {}, "X"
+        closed = dict(zip(BELL_INVARIANTS, closed_form_invariants(s)))
+        parameters = {"variant": s.variant, "epsilon": s.epsilon, "u": s.u, "steps": s.n_steps, "tau": s.tau}
+    invariants, residuals = sequence_invariants(states, spec, grid, sequences, tol)
+    eye = np.eye(spec.dim, dtype=complex)
+    blocks = []
+    for seq in sequences:
+        X = invariants[seq]
+        diag = nu_functional(eye, X, phase_tol)
+        block = {
+            "name": prefix + "".join(str(j) for j in seq),
+            "indices": list(seq),
+            "trace": encode_complex(diag.trace),
+            "trace_magnitude": diag.trace_magnitude,
+            "nu": _phase_entry(diag),
+            "support_overlap": diag.support_overlap,
+        }
+        if closed:
+            block["closed_form_error"] = op_norm(X - closed[seq])
+        for obs_name, A in observables.items():
             obs = nu_functional(A, X, phase_tol)
             block[f"nu[{obs_name}]"] = _phase_entry(obs)
             block[f"trace[{obs_name}]"] = encode_complex(obs.trace)
         if dump_isometry:
             block["isometry"] = _isometry_entry(X, tol)
-        invariants.append(block)
-    return {
+        blocks.append(block)
+    report = {
         "format_version": 1,
         "scenario": cfg.name,
-        "parameters": {"dimension": cfg.dimension, "steps": cfg.grid.n_steps, "tau": cfg.grid.tau},
-        "invariants": invariants,
+        "parameters": parameters,
+        "invariants": blocks,
         "transport": {
-            "n_steps": cfg.grid.n_steps,
+            "n_steps": grid.n_steps,
             "max_step_parallelity_residual": max(residuals.values()),
             "per_path": residuals,
         },
     }
+    if s is not None:
+        report["forms"] = {"variant_form_distance": op_norm(closed[(1, 2)] - variant_form_X12(s))}
+        if s.epsilon == 0.0:
+            # Pure limit: the interferometric pipeline is on equal footing.
+            report["comparison"] = _comparison(s)
+    return report
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    if cfg.preset is not None:
-        report = _report_preset(cfg, args.dump_isometry)
-    else:
-        report = _report_generic(cfg, args.dump_isometry)
+    report = _report(_load_config(args), args.dump_isometry)
     if args.format == "json":
         text = to_json(report) + "\n"
     elif args.format == "csv":
@@ -241,12 +214,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.parameter not in _PRESET_PARAMETERS:
+    if args.parameter not in PRESET_PARAMETERS:
         raise UnknownParameter(
-            f"parameter must be one of {', '.join(_PRESET_PARAMETERS)}, got {args.parameter!r}"
+            f"parameter must be one of {', '.join(sorted(PRESET_PARAMETERS))}, got {args.parameter!r}"
         )
     # The rules of the matching scenario-file keys: steps must be integers.
-    attr, convert = _PRESET_PARAMETERS[args.parameter]
+    attr, convert = PRESET_PARAMETERS[args.parameter]
     values = [convert(v, "values") for v in args.values.split(",") if v.strip()]
     cfg = _load_config(args)
     if cfg.preset is None:
@@ -258,7 +231,11 @@ def _cmd_sweep(args) -> int:
     lines = [header]
     for value in values:
         started = time.perf_counter()
-        rep = _run_preset(cfg, replace(cfg.preset, **{attr: value}))
+        rep = run_bell_scenario(
+            replace(cfg.preset, **{attr: value}),
+            tol=cfg.tolerances["transport"],
+            phase_tol=cfg.tolerances["phase"],
+        )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         d1, d12 = rep.diagnoses["X1"], rep.diagnoses["X12"]
         nu12 = fmt(d12.phase) if d12.phase_defined else UNDEFINED

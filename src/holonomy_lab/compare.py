@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotUnitary
 from .linalg import DEFAULT_TOL, as_square_matrix, dagger, first_norm_above, is_orthonormal, kept_directions, support_power
-from .evolution import EvolutionSpec, RotatingFrame, StaticHamiltonian, TimeGrid, density_path, rotating_generator, unitary_at
-from .offdiag import nu_functional, off_diagonal_invariant, phase_factor, principal_angle
+from .evolution import EvolutionSpec, RotatingFrame, StaticHamiltonian, TimeGrid, rotating_generator, unitary_at
+from .offdiag import nu_functional, off_diagonal_invariant, phase_factor, principal_angle, sequence_invariants
 from .state import DensityOperator, chunk_slices
-from .transport import TransportResult, discrete_holonomy
+from .transport import TransportResult
 
 __all__ = [
     "PermutedFamily",
@@ -201,14 +201,12 @@ def discrepancy_report(
     rank_one = family.is_rank_one(tol)
     use_closed_form = rank_one and residual <= tol
 
-    results = []
-    for k in range(l):
-        rho = family.state(k)
-        if use_closed_form:
-            results.append(_closed_form_result(U_tau, rho, tol))
-        else:
-            results.append(discrete_holonomy(density_path(rho, spec, grid), tol))
-    X = off_diagonal_invariant(results)
+    states = [family.state(k) for k in range(l)]
+    if use_closed_form:
+        X = off_diagonal_invariant([_closed_form_result(U_tau, rho, tol) for rho in states])
+    else:
+        order = tuple(range(1, l + 1))
+        X = sequence_invariants(states, spec, grid, [order], tol)[0][order]
     diag = nu_functional(np.eye(family.dim), X, tol)
     difference = None
     if gamma.defined and diag.phase_defined:

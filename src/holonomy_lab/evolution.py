@@ -92,7 +92,7 @@ class StaticHamiltonian:
 
 @dataclass(frozen=True)
 class RotatingFrame:
-    """Resonant spin-flipper drive on the first qubit of two, with free scale u > 0.
+    """Resonant spin-flipper drive on the first qubit of two, with free scale u > 0 and pi/u finite.
 
     The propagator is the closed-form product
 
@@ -109,8 +109,9 @@ class RotatingFrame:
     _eigh: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.u > 0:
-            raise ValueError("the free scale u must be positive")
+        # u > 0 first: pi/u of a tiny u overflows to inf, of u = inf is 0.
+        if not (self.u > 0 and 0 < np.pi / float(self.u) < np.inf):
+            raise ValueError("the free scale u must be positive, with a finite tau = pi/u")
         object.__setattr__(self, "_eigh", hermitian_eigh(self.effective_hamiltonian))
 
     @property

@@ -24,12 +24,13 @@ from .linalg import (
     polar_isometry,
     support_projector,
 )
-from .transport import TransportResult
+from .evolution import density_path
+from .transport import TransportResult, discrete_holonomy
 
 __all__ = [
-    "OffDiagInvariant",
     "NodalDiagnosis",
     "off_diagonal_invariant",
+    "sequence_invariants",
     "support_overlap",
     "phase_factor",
     "nu_functional",
@@ -37,14 +38,6 @@ __all__ = [
     "alternative_ordering",
     "principal_angle",
 ]
-
-
-@dataclass(frozen=True)
-class OffDiagInvariant:
-    """Ordered product of single-path holonomy invariants; its order is len(constituents)."""
-
-    operator: np.ndarray
-    constituents: tuple
 
 
 @dataclass(frozen=True)
@@ -84,19 +77,12 @@ def phase_factor(trace: complex, bound: float, tol: float) -> complex | None:
     return trace / magnitude if magnitude > tol * bound else None
 
 
-def _operator(X) -> np.ndarray:
-    """The matrix of an invariant, a transport result's invariant, or a raw matrix."""
-    if isinstance(X, OffDiagInvariant):
-        return X.operator
-    return X.invariant if isinstance(X, TransportResult) else as_square_matrix(X)
-
-
-def off_diagonal_invariant(results) -> OffDiagInvariant:
-    """Multiply the invariants of the given transports, in order.
+def off_diagonal_invariant(results) -> np.ndarray:
+    """Multiply the invariants of the given transports, in order, into one (d, d) matrix.
 
     Order 1 reduces exactly to the single-path holonomy invariant.
     """
-    mats = [_operator(r) for r in results]
+    mats = [r.invariant for r in results]
     if not mats:
         raise ValueError("need at least one transport result")
     dim = mats[0].shape[0]
@@ -106,12 +92,27 @@ def off_diagonal_invariant(results) -> OffDiagInvariant:
     op = mats[0]
     for m in mats[1:]:
         op = op @ m
-    return OffDiagInvariant(operator=op, constituents=tuple(mats))
+    return op
+
+
+def sequence_invariants(states, spec, grid, sequences, tol: float = DEFAULT_TOL):
+    """The invariants X^(l) of index sequences over one evolution.
+
+    Each sequence holds 1-based indices into ``states``. Every state a
+    sequence names is transported once along ``grid`` under ``spec``, and
+    each sequence multiplies those transports in its own order. Returns
+    ``({sequence: X}, {"path<j>": max step parallelity residual})``, the
+    residuals in increasing j.
+    """
+    needed = sorted({j for seq in sequences for j in seq})
+    results = {j: discrete_holonomy(density_path(states[j - 1], spec, grid), tol) for j in needed}
+    invariants = {seq: off_diagonal_invariant([results[j] for j in seq]) for seq in sequences}
+    return invariants, {f"path{j}": r.max_step_parallelity_residual for j, r in results.items()}
 
 
 def support_overlap(X, tol: float = DEFAULT_TOL) -> float:
     """Operator norm of P_left P_right for the supports of X X^dag and X^dag X."""
-    op = _operator(X)
+    op = as_square_matrix(X)
     p_left = support_projector(op @ dagger(op), tol)
     p_right = support_projector(dagger(op) @ op, tol)
     return op_norm(p_left @ p_right)
@@ -124,7 +125,7 @@ def nu_functional(A, X, tol: float = DEFAULT_TOL) -> NodalDiagnosis:
     exceeds tol * ||A||. The support overlap is a property of X alone and
     is reported regardless of A.
     """
-    op = _operator(X)
+    op = as_square_matrix(X)
     A = as_square_matrix(A)
     if A.shape != op.shape:
         raise DimensionMismatch(f"observable shape {A.shape} vs invariant {op.shape}")
@@ -149,7 +150,7 @@ def holonomy_isometry(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     (``polar-consistency``) cross-checks it against the routes through
     (X^dag X)^{1/2} and (X X^dag)^{1/2}.
     """
-    op = _operator(X)
+    op = as_square_matrix(X)
     if op_norm(op) <= tol:
         raise ZeroOperator("cannot extract an isometry from a vanishing invariant")
     return polar_isometry(op, tol)
@@ -169,7 +170,7 @@ def alternative_ordering(results) -> np.ndarray:
     dim = first.initial_amplitude.shape[0]
     middle = np.eye(dim, dtype=complex)
     for r in results[1:]:
-        m = _operator(r)
+        m = r.invariant
         if m.shape[0] != dim:
             raise DimensionMismatch("constituent invariants differ in dimension")
         middle = middle @ m

@@ -21,7 +21,7 @@ from .linalg import DEFAULT_TOL, is_orthonormal
 from .scenarios import BellScenario, bell_mixture
 from .state import DensityOperator
 
-__all__ = ["ScenarioConfig", "as_tolerance", "load_scenario", "parse_scenario", "PRESETS"]
+__all__ = ["ScenarioConfig", "as_tolerance", "load_scenario", "parse_scenario", "PRESETS", "PRESET_PARAMETERS"]
 
 PRESETS = ("bell-static", "bell-rotating")
 
@@ -91,6 +91,11 @@ def _as_int(value, fieldname: str) -> int:
     if number is None or not number.is_integer():
         _fail(fieldname, f"expected an integer, got {value!r}")
     return int(number)
+
+
+# Preset parameter, as a file key, a run flag and a sweep parameter -> (BellScenario field, parser of one
+# value). File keys are read in this order, so the first bad one is named.
+PRESET_PARAMETERS = {"epsilon": ("epsilon", _as_number), "u": ("u", _as_number), "steps": ("n_steps", _as_int)}
 
 
 def _as_complex(entry, fieldname: str) -> complex:
@@ -250,11 +255,7 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
         preset = data["scenario"]
         if preset not in PRESETS:
             _fail("scenario", f"unknown preset {preset!r}; expected one of {PRESETS}")
-        overrides = {
-            attr: convert(data[key], key)
-            for key, attr, convert in (("epsilon", "epsilon", _as_number), ("u", "u", _as_number), ("steps", "n_steps", _as_int))
-            if key in data
-        }
+        overrides = {attr: convert(data[key], key) for key, (attr, convert) in PRESET_PARAMETERS.items() if key in data}
         try:
             variant = "static" if preset == "bell-static" else "rotating"
             cfg.preset = replace(BellScenario(epsilon=0.5, variant=variant), **overrides)

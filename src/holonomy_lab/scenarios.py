@@ -20,13 +20,11 @@ from .evolution import (
     RotatingFrame,
     StaticHamiltonian,
     TimeGrid,
-    density_path,
     first_time_outside,
 )
 from .linalg import DEFAULT_TOL, dagger, op_norm
-from .offdiag import nu_functional, off_diagonal_invariant
+from .offdiag import nu_functional, sequence_invariants
 from .state import DensityOperator
-from .transport import discrete_holonomy
 
 __all__ = [
     "bell_basis",
@@ -42,10 +40,15 @@ __all__ = [
     "gauge_angle",
     "closed_form_invariants",
     "variant_form_X12",
+    "BELL_INVARIANTS",
+    "bell_paths",
     "run_bell_scenario",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+# The invariants a Bell scenario assembles, as index sequences into bell_paths' states: X1, X2, X12.
+BELL_INVARIANTS = ((1,), (2,), (1, 2))
 
 
 def bell_basis():
@@ -122,6 +125,8 @@ class BellScenario:
             raise ValueError(f"variant must be 'static' or 'rotating', got {self.variant!r}")
         if self.u <= 0:
             raise ValueError("the rotating scale u must be positive")
+        if not np.pi / float(self.u) < np.inf:
+            raise ValueError(f"u must give a finite tau = pi/u, got {self.u!r}")
         if self.n_steps < 2:
             raise ValueError("need at least two steps")
 
@@ -240,6 +245,11 @@ class ScenarioReport:
     transport_residuals: dict
 
 
+def bell_paths(s: BellScenario):
+    """(states, spec, grid) of the scenario: rho_1(0), rho_2(0) = rho_1(tau), its evolution and grid."""
+    return [bell_mixture(s.epsilon), _rho2_initial(s)], evolution_spec(s), TimeGrid.uniform(s.tau, s.n_steps)
+
+
 def run_bell_scenario(
     s: BellScenario,
     tol: float = DEFAULT_TOL,
@@ -251,38 +261,16 @@ def run_bell_scenario(
     identity observable; ``phase_tol`` overrides the phase-defined
     threshold.
     """
-    spec = evolution_spec(s)
-    grid = TimeGrid.uniform(s.tau, s.n_steps)
-    rho1 = bell_mixture(s.epsilon)
-    rho2 = _rho2_initial(s)
-
-    r1 = discrete_holonomy(density_path(rho1, spec, grid), tol)
-    r2 = discrete_holonomy(density_path(rho2, spec, grid), tol)
-    x1 = off_diagonal_invariant([r1])
-    x2 = off_diagonal_invariant([r2])
-    x12 = off_diagonal_invariant([r1, r2])
-
+    invariants, residuals = sequence_invariants(*bell_paths(s), BELL_INVARIANTS, tol)
     eye = np.eye(4, dtype=complex)
     phase_tol = tol if phase_tol is None else phase_tol
-    diagnoses = {
-        "X1": nu_functional(eye, x1, phase_tol),
-        "X2": nu_functional(eye, x2, phase_tol),
-        "X12": nu_functional(eye, x12, phase_tol),
-    }
-    cf1, cf2, cf12 = closed_form_invariants(s)
+    names = ("X1", "X2", "X12")
+    xs = [invariants[seq] for seq in BELL_INVARIANTS]
+    closed = closed_form_invariants(s)
     return ScenarioReport(
-        X1=x1.operator,
-        X2=x2.operator,
-        X12=x12.operator,
-        diagnoses=diagnoses,
-        closed_form_errors={
-            "X1": op_norm(x1.operator - cf1),
-            "X2": op_norm(x2.operator - cf2),
-            "X12": op_norm(x12.operator - cf12),
-        },
-        variant_form_distance=op_norm(cf12 - variant_form_X12(s)),
-        transport_residuals={
-            "path1": r1.max_step_parallelity_residual,
-            "path2": r2.max_step_parallelity_residual,
-        },
+        *xs,
+        diagnoses={name: nu_functional(eye, x, phase_tol) for name, x in zip(names, xs)},
+        closed_form_errors={name: op_norm(x - cf) for name, x, cf in zip(names, xs, closed)},
+        variant_form_distance=op_norm(closed[2] - variant_form_X12(s)),
+        transport_residuals=residuals,
     )

@@ -335,7 +335,7 @@ def check_gauge_invariance(rng):
             gauged.append(replace(res, initial_amplitude=initial, final_amplitude=final, invariant=invariant))
         X = off_diagonal_invariant(results)
         Xg = off_diagonal_invariant(gauged)
-        worst = max(worst, op_norm(X.operator - Xg.operator))
+        worst = max(worst, op_norm(X - Xg))
     return [_result("gauge-invariance", "distinct-partial-isometries", worst, 1e-10)]
 
 
@@ -377,8 +377,8 @@ def check_factorization(rng):
             spec = StaticHamiltonian(_random_hermitian(rng, 3), tau=0.6)
             results.append(discrete_holonomy(density_path(rho, spec, TimeGrid.uniform(0.6, 40))))
         X = off_diagonal_invariant(results)
-        prod = X.constituents[0] @ X.constituents[1] @ X.constituents[2]
-        worst = max(worst, op_norm(X.operator - prod))
+        prod = results[0].invariant @ results[1].invariant @ results[2].invariant
+        worst = max(worst, op_norm(X - prod))
     return [_result("factorization", "product-of-constituents", worst, 1e-10)]
 
 
@@ -410,7 +410,7 @@ def check_trace_cyclic(rng):
             results.append(discrete_holonomy(density_path(rho, spec, TimeGrid.uniform(0.5, 40))))
         X = off_diagonal_invariant(results)
         Y = alternative_ordering(results)
-        worst = max(worst, abs(np.trace(X.operator) - np.trace(Y)))
+        worst = max(worst, abs(np.trace(X) - np.trace(Y)))
         # Global gauge on path 1 conjugates Y but keeps its trace.
         S = _random_unitary(rng, 4)
         first = results[0]
@@ -466,7 +466,7 @@ def check_interferometric_pure(rng):
         gamma = interferometric_offdiag_phase(U, family, 2)
         results = [_closed_form_result(U, DensityOperator.pure(v)) for v in vecs]
         X = off_diagonal_invariant(results)
-        tr = complex(np.trace(X.operator))
+        tr = complex(np.trace(X))
         if not gamma.defined or abs(tr) < 1e-9:
             continue
         worst = max(worst, abs(gamma.factor - tr / abs(tr)))

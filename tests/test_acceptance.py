@@ -135,7 +135,7 @@ def test_criterion_4_rotating_invariants_match_closed_forms():
         np.cos(g) * (eps * dyad(PSI_PLUS, PHI_MINUS) - dyad(PSI_MINUS, PHI_PLUS))
         + 1j * np.sqrt(eps) * np.sin(g) * (dyad(PSI_MINUS, PHI_MINUS) - dyad(PSI_PLUS, PHI_PLUS))
     ) / (1 + eps)
-    x12 = off_diagonal_invariant([r1, r2]).operator
+    x12 = off_diagonal_invariant([r1, r2])
     err1 = op_norm(r1.invariant - hr11)
     err2 = op_norm(r2.invariant - hr12)
     err12 = op_norm(x12 - hr11 @ hr12)

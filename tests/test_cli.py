@@ -218,6 +218,7 @@ def test_run_out_of_memory_exits_two(capsys, monkeypatch):
 
 
 _MIXED_QUBIT = "format_version: 1\nstates:\n  - preset: maximally-mixed\n    dimension: 2\n"
+_BELL_STATE = "format_version: 1\nstates:\n  - preset: bell-mixture\n    epsilon: 0.5\n"
 
 
 @pytest.mark.parametrize(
@@ -233,9 +234,13 @@ _MIXED_QUBIT = "format_version: 1\nstates:\n  - preset: maximally-mixed\n    dim
         ("evolution.times", ("run",), _MIXED_QUBIT + _SAMPLED_QUBIT.replace("  tau: 1.0\n", "  times: [0, .nan, 1]\n")),
         ("observables.A[0][0]", ("run",), _MIXED_QUBIT + _STATIC_QUBIT + "observables:\n  A: [[.nan, 0], [0, 1]]\n"),
         ("epsilon", ("run",), "format_version: 1\nscenario: bell-static\nepsilon: 1" + "0" * 400 + "\n"),
+        # tau = pi/u overflows to inf.
+        ("u", ("run", "--scenario", "bell-rotating", "--u", "1e-320", "--steps", "10"), None),
+        ("evolution.u", ("run",), _BELL_STATE + "evolution:\n  variant: rotating\n  u: 1e-320\n"),
     ],
     ids=["u-nan", "u-inf", "epsilon-nan", "sweep-values", "static-tau-nan", "static-tau-inf",
-         "grid-tau-nan", "sampled-times-nan", "matrix-entry-nan", "integer-beyond-float"],
+         "grid-tau-nan", "sampled-times-nan", "matrix-entry-nan", "integer-beyond-float",
+         "u-tiny", "rotating-u-tiny"],
 )
 def test_non_finite_numbers_exit_one_naming_the_input(tmp_path, capsys, field, argv, body):
     if body is not None:
@@ -271,6 +276,34 @@ def test_preset_flags_on_a_file_scenario_exit_one(capsys, flag, value):
     code, out, err = run_cli(capsys, "run", "--scenario", str(path), flag, value)
     assert (code, out) == (1, "")
     assert err == f"error: {flag}: applies to preset scenarios only; {path} is not one\n"
+
+
+def test_preset_and_file_routes_agree(capsys):
+    # The example file is bell-rotating at eps = 0.5 with rho_2(0) written out as a matrix.
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "demos" / "example_scenario.yaml"
+    code, out, _ = run_cli(
+        capsys, "run", "--scenario", "bell-rotating", "--epsilon", "0.5", "--steps", "1000", "--format", "json",
+    )
+    assert code == 0
+    preset = json.loads(out)
+    code, out, _ = run_cli(capsys, "run", "--scenario", str(path), "--format", "json")
+    assert code == 0
+    generic = json.loads(out)
+    by_name = {inv["name"]: inv for inv in generic["invariants"]}
+    for inv in preset["invariants"]:
+        other = by_name["X_" + inv["name"][1:]]
+        assert inv["indices"] == other["indices"]
+        assert np.allclose(inv["trace"], other["trace"], rtol=0, atol=1e-12)
+        assert inv["support_overlap"] == pytest.approx(other["support_overlap"], rel=0, abs=1e-12)
+        if inv["nu"] == "undefined":
+            assert other["nu"] == "undefined"
+        else:
+            assert angle_diff(inv["nu"], other["nu"]) < 1e-12
+    assert preset["transport"]["per_path"].keys() == generic["transport"]["per_path"].keys()
+    for key, value in preset["transport"]["per_path"].items():
+        assert value == pytest.approx(generic["transport"]["per_path"][key], rel=0, abs=1e-12)
 
 
 def test_run_dump_isometry(capsys):

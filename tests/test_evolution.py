@@ -60,8 +60,8 @@ def test_rotating_endpoint_matches_static_flip():
         assert spec.tau == np.pi / u
         assert np.array_equal(spec.effective_hamiltonian, -(u / 2) * SIGMA_X)
         assert np.allclose(unitary_at(spec, spec.tau), usf_matrix(), atol=1e-12)
-    for u in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="^the free scale u must be positive$"):
+    for u in (0.0, -1.0, float("nan"), float("inf"), 1e-320):
+        with pytest.raises(ValueError, match=r"^the free scale u must be positive, with a finite tau = pi/u$"):
             RotatingFrame(u)
 
 

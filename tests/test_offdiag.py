@@ -10,6 +10,7 @@ from holonomy_lab.offdiag import (
     nu_functional,
     off_diagonal_invariant,
     principal_angle,
+    sequence_invariants,
     support_overlap,
 )
 from holonomy_lab.state import DensityOperator
@@ -44,9 +45,10 @@ def _constant_result(rho: DensityOperator) -> TransportResult:
 
 def test_order_one_constant_path():
     rho = DensityOperator(rho1_matrix(0.5))
-    X = off_diagonal_invariant([_constant_result(rho)])
-    assert len(X.constituents) == 1
-    assert np.allclose(X.operator, rho.matrix)
+    r = _constant_result(rho)
+    X = off_diagonal_invariant([r])
+    assert np.array_equal(X, r.invariant)
+    assert np.allclose(X, rho.matrix)
 
 
 def test_order_two_static_bell_matches_brute_force():
@@ -58,15 +60,15 @@ def test_order_two_static_bell_matches_brute_force():
         TransportResult(usf, w2, usf @ w2, usf @ r2, 0.0, 1),
     ]
     X = off_diagonal_invariant(results)
-    assert np.allclose(X.operator, usf @ r1 @ usf @ r2, atol=1e-12)
-    # Factorization: operator equals the ordered product of constituents.
-    assert np.allclose(X.operator, X.constituents[0] @ X.constituents[1], atol=1e-14)
+    assert np.allclose(X, usf @ r1 @ usf @ r2, atol=1e-12)
+    # Factorization: the matrix equals the ordered product of the constituents' invariants.
+    assert np.allclose(X, results[0].invariant @ results[1].invariant, atol=1e-14)
 
 
 def test_order_two_constant_full_rank():
     rho = DensityOperator(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex))
     X = off_diagonal_invariant([_constant_result(rho), _constant_result(rho)])
-    assert np.allclose(X.operator, rho.matrix @ rho.matrix, atol=1e-14)
+    assert np.allclose(X, rho.matrix @ rho.matrix, atol=1e-14)
 
 
 def test_dimension_mismatch():
@@ -74,6 +76,38 @@ def test_dimension_mismatch():
     b = _constant_result(DensityOperator.maximally_mixed(3))
     with pytest.raises(DimensionMismatch):
         off_diagonal_invariant([a, b])
+
+
+def test_sequence_invariants_transport_each_named_state_once(rng, monkeypatch):
+    import holonomy_lab.offdiag as offdiag
+
+    states = [DensityOperator(random_density_matrix(rng, 4, 3)) for _ in range(3)]
+    spec = StaticHamiltonian(random_hermitian(rng, 4), tau=0.8)
+    grid = TimeGrid.uniform(0.8, 60)
+    r1, r2 = (discrete_holonomy(density_path(rho, spec, grid)) for rho in states[:2])
+    path_states, transports = [], []
+
+    def recording_path(rho, *args):
+        path_states.append(rho)
+        return density_path(rho, *args)
+
+    def counting_transport(path, tol):
+        transports.append(path)
+        return discrete_holonomy(path, tol)
+
+    monkeypatch.setattr(offdiag, "density_path", recording_path)
+    monkeypatch.setattr(offdiag, "discrete_holonomy", counting_transport)
+    invariants, residuals = sequence_invariants(states, spec, grid, [(2, 1), (1, 2, 1)])
+    # One path and one transport per named state; state 3 is never touched.
+    assert [id(rho) for rho in path_states] == [id(states[0]), id(states[1])]
+    assert len(transports) == 2
+    assert list(invariants) == [(2, 1), (1, 2, 1)]
+    assert op_norm(invariants[(2, 1)] - r2.invariant @ r1.invariant) < 1e-14
+    assert op_norm(invariants[(1, 2, 1)] - r1.invariant @ r2.invariant @ r1.invariant) < 1e-14
+    assert residuals == {
+        "path1": r1.max_step_parallelity_residual,
+        "path2": r2.max_step_parallelity_residual,
+    }
 
 
 # ---------------------------------------------------------------- nu_functional
@@ -197,7 +231,7 @@ def test_alternative_ordering_shares_trace(rng):
     results = _transport_pair(rng)
     X = off_diagonal_invariant(results)
     Y = alternative_ordering(results)
-    assert complex(np.trace(X.operator)) == pytest.approx(complex(np.trace(Y)), abs=1e-12)
+    assert complex(np.trace(X)) == pytest.approx(complex(np.trace(Y)), abs=1e-12)
 
 
 def test_alternative_ordering_gauge_behaviour(rng):
@@ -241,6 +275,6 @@ def test_pure_state_reduction_matches_bargmann_product(rng):
         for k in range(l):
             barg *= vecs[k].conj() @ U @ vecs[(k + 1) % l]
         diag = nu_functional(np.eye(dim), X)
-        assert abs(complex(np.trace(X.operator)) - barg) < 1e-12
+        assert abs(complex(np.trace(X)) - barg) < 1e-12
         if diag.phase_defined:
             assert abs(np.angle(diag.trace / barg)) < 1e-8

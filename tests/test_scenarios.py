@@ -262,7 +262,7 @@ def test_reference_state_override():
     grid = TimeGrid.uniform(s.tau, s.n_steps)
     r = discrete_holonomy(density_path(bell_mixture(0.5), evolution_spec(s), grid))
     X12 = off_diagonal_invariant([r, r])
-    assert abs(np.trace(X12.operator)) < 1e-10
+    assert abs(np.trace(X12)) < 1e-10
 
 
 def test_scenario_validation():
