@@ -7,13 +7,23 @@
 # off-diagonal holonomy is a path functional, not a function of the
 # endpoint states.
 
-from holonomy_lab import BellScenario, closed_form_invariants, run_bell_scenario
+import numpy as np
+
+from holonomy_lab import (
+    BELL_INVARIANTS,
+    BellScenario,
+    bell_paths,
+    closed_form_invariants,
+    nu_functional,
+    sequence_invariants,
+)
 from holonomy_lab.linalg import op_norm
 
 print(" eps   |Tr X1|   overlap(X1)  overlap(X12)  nu(X12)   ||X12_s - X12_r||")
 for eps in (0.0, 0.1, 0.25, 0.5, 1.0, 2.0):
-    rep = run_bell_scenario(BellScenario(epsilon=eps, variant="static", n_steps=500))
-    d1, d12 = rep.diagnoses["X1"], rep.diagnoses["X12"]
+    scenario = BellScenario(epsilon=eps, variant="static", n_steps=500)
+    invariants, _ = sequence_invariants(*bell_paths(scenario), BELL_INVARIANTS)
+    d1, d12 = (nu_functional(np.eye(4), invariants[seq]) for seq in ((1,), (1, 2)))
     x12_s = closed_form_invariants(BellScenario(epsilon=eps, variant="static"))[2]
     x12_r = closed_form_invariants(BellScenario(epsilon=eps, variant="rotating", u=1.0))[2]
     nu = f"{d12.phase:+.4f}" if d12.phase_defined else "undef"

@@ -79,7 +79,6 @@ from .compare import (
 from .scenarios import (
     BELL_INVARIANTS,
     BellScenario,
-    ScenarioReport,
     bell_basis,
     bell_matrix,
     bell_mixture,
@@ -89,7 +88,6 @@ from .scenarios import (
     evolution_spec,
     from_bell_basis,
     variant_form_X12,
-    run_bell_scenario,
     spin_flip_unitary,
     to_bell_basis,
 )

@@ -34,7 +34,6 @@ from .scenarios import (
     bell_paths,
     closed_form_invariants,
     evolution_spec,
-    run_bell_scenario,
     variant_form_X12,
 )
 from .verify import property_groups, run_properties
@@ -146,7 +145,7 @@ def _comparison(s: BellScenario) -> dict:
 
 
 def _report(cfg: ScenarioConfig, dump_isometry: bool) -> dict:
-    """The run report of a preset or a file scenario; presets add their closed forms."""
+    """The report of a preset or a file scenario, for run and each sweep row; presets add their closed forms."""
     tol = cfg.tolerances["transport"]
     phase_tol = cfg.tolerances["phase"]
     s = cfg.preset
@@ -195,14 +194,15 @@ def _report(cfg: ScenarioConfig, dump_isometry: bool) -> dict:
     }
     if s is not None:
         report["forms"] = {"variant_form_distance": op_norm(closed[(1, 2)] - variant_form_X12(s))}
-        if s.epsilon == 0.0:
-            # Pure limit: the interferometric pipeline is on equal footing.
-            report["comparison"] = _comparison(s)
     return report
 
 
 def _cmd_run(args) -> int:
-    report = _report(_load_config(args), args.dump_isometry)
+    cfg = _load_config(args)
+    report = _report(cfg, args.dump_isometry)
+    if cfg.preset is not None and cfg.preset.epsilon == 0.0:
+        # Pure limit: the interferometric pipeline is on equal footing.
+        report["comparison"] = _comparison(cfg.preset)
     if args.format == "json":
         text = to_json(report) + "\n"
     elif args.format == "csv":
@@ -231,28 +231,20 @@ def _cmd_sweep(args) -> int:
     lines = [header]
     for value in values:
         started = time.perf_counter()
-        rep = run_bell_scenario(
-            replace(cfg.preset, **{attr: value}),
-            tol=cfg.tolerances["transport"],
-            phase_tol=cfg.tolerances["phase"],
-        )
+        blocks = _report(replace(cfg, preset=replace(cfg.preset, **{attr: value})), False)["invariants"]
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        d1, d12 = rep.diagnoses["X1"], rep.diagnoses["X12"]
-        nu12 = fmt(d12.phase) if d12.phase_defined else UNDEFINED
-        lines.append(
-            ",".join(
-                [
-                    fmt(value),
-                    fmt(d1.trace_magnitude),
-                    fmt(d12.trace_magnitude),
-                    nu12,
-                    fmt(d1.support_overlap),
-                    fmt(d12.support_overlap),
-                    fmt(max(rep.closed_form_errors.values())),
-                    fmt(elapsed_ms),
-                ]
-            )
-        )
+        x1, _, x12 = blocks
+        cells = [
+            value,
+            x1["trace_magnitude"],
+            x12["trace_magnitude"],
+            x12["nu"],
+            x1["support_overlap"],
+            x12["support_overlap"],
+            max(block["closed_form_error"] for block in blocks),
+            elapsed_ms,
+        ]
+        lines.append(",".join(c if c == UNDEFINED else fmt(c) for c in cells))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

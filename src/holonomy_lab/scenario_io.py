@@ -157,7 +157,12 @@ def _parse_state(entry, fieldname: str) -> DensityOperator:
             if vecs is None:
                 _fail(f"{fieldname}.eigenvectors", "required alongside eigenvalues")
             vecs = _as_list(vecs, f"{fieldname}.eigenvectors")
+            if len(vecs) != len(lam):
+                _fail(f"{fieldname}.eigenvectors", f"expected {len(lam)}, one per eigenvalue, got {len(vecs)}")
             cols = [_as_vector(v, f"{fieldname}.eigenvectors[{i}]") for i, v in enumerate(vecs)]
+            for i, col in enumerate(cols):
+                if col.size != cols[0].size:
+                    _fail(f"{fieldname}.eigenvectors[{i}]", f"expected {cols[0].size} entries, got {col.size}")
             V = np.column_stack(cols)
             if not is_orthonormal(V):
                 _fail(f"{fieldname}.eigenvectors", "must be orthonormal")
@@ -192,11 +197,15 @@ def _parse_evolution(entry, fieldname: str):
         us = [_as_matrix(m, f"{fieldname}.unitaries[{i}]") for i, m in enumerate(mats)]
         times = entry.get("times")
         if times is None:
-            tau = _as_number(entry.get("tau"), f"{fieldname}.tau")
-            grid = TimeGrid.uniform(tau, len(us) - 1)
+            key = f"{fieldname}.tau"
+            tau = _as_number(entry.get("tau"), key)
         else:
-            times = _as_list(times, f"{fieldname}.times")
-            grid = TimeGrid(np.array([_as_number(t, f"{fieldname}.times") for t in times]))
+            key = f"{fieldname}.times"
+            times = [_as_number(t, key) for t in _as_list(times, key)]
+        try:
+            grid = TimeGrid.uniform(tau, len(us) - 1) if times is None else TimeGrid(np.array(times))
+        except ValueError as exc:
+            _fail(key, str(exc))
         try:
             return SampledUnitaries(us, grid)
         except Exception as exc:

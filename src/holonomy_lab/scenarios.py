@@ -1,4 +1,4 @@
-"""Bell-state spin-flip scenarios in closed form and end to end.
+"""Bell-state spin-flip scenarios: their paths and their closed forms.
 
 Conventions: computational tensor order |ab> = |a> (x) |b>, Bell order
 (Psi+, Psi-, Phi+, Phi-). The spin flip acts on the first qubit as
@@ -22,8 +22,7 @@ from .evolution import (
     TimeGrid,
     first_time_outside,
 )
-from .linalg import DEFAULT_TOL, dagger, op_norm
-from .offdiag import nu_functional, sequence_invariants
+from .linalg import dagger
 from .state import DensityOperator
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "bell_mixture",
     "spin_flip_unitary",
     "BellScenario",
-    "ScenarioReport",
     "evolution_spec",
     "closed_form_B_r1",
     "gauge_angle",
@@ -42,7 +40,6 @@ __all__ = [
     "variant_form_X12",
     "BELL_INVARIANTS",
     "bell_paths",
-    "run_bell_scenario",
 ]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -125,6 +122,10 @@ class BellScenario:
             raise ValueError(f"variant must be 'static' or 'rotating', got {self.variant!r}")
         if self.u <= 0:
             raise ValueError("the rotating scale u must be positive")
+        if self.variant == "static" and self.u != 1.0:
+            raise ValueError(
+                f"u applies to the rotating variant only; the static variant takes u = 1.0, got {self.u!r}"
+            )
         if not np.pi / float(self.u) < np.inf:
             raise ValueError(f"u must give a finite tau = pi/u, got {self.u!r}")
         if self.n_steps < 2:
@@ -232,45 +233,7 @@ def variant_form_X12(s: BellScenario) -> np.ndarray:
     ) / (1 + eps) ** 2
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
-    """Transported invariants, diagnoses, and distances to the closed forms."""
-
-    X1: np.ndarray
-    X2: np.ndarray
-    X12: np.ndarray
-    diagnoses: dict
-    closed_form_errors: dict
-    variant_form_distance: float
-    transport_residuals: dict
-
-
 def bell_paths(s: BellScenario):
     """(states, spec, grid) of the scenario: rho_1(0), rho_2(0) = rho_1(tau), its evolution and grid."""
     return [bell_mixture(s.epsilon), _rho2_initial(s)], evolution_spec(s), TimeGrid.uniform(s.tau, s.n_steps)
 
-
-def run_bell_scenario(
-    s: BellScenario,
-    tol: float = DEFAULT_TOL,
-    phase_tol: float | None = None,
-) -> ScenarioReport:
-    """Transport both Bell paths and assemble the order-1 and order-2 invariants.
-
-    The second path starts at rho_2(0) = rho_1(tau). Diagnoses use the
-    identity observable; ``phase_tol`` overrides the phase-defined
-    threshold.
-    """
-    invariants, residuals = sequence_invariants(*bell_paths(s), BELL_INVARIANTS, tol)
-    eye = np.eye(4, dtype=complex)
-    phase_tol = tol if phase_tol is None else phase_tol
-    names = ("X1", "X2", "X12")
-    xs = [invariants[seq] for seq in BELL_INVARIANTS]
-    closed = closed_form_invariants(s)
-    return ScenarioReport(
-        *xs,
-        diagnoses={name: nu_functional(eye, x, phase_tol) for name, x in zip(names, xs)},
-        closed_form_errors={name: op_norm(x - cf) for name, x, cf in zip(names, xs, closed)},
-        variant_form_distance=op_norm(closed[2] - variant_form_X12(s)),
-        transport_residuals=residuals,
-    )

@@ -35,17 +35,18 @@ from .offdiag import (
     holonomy_isometry,
     nu_functional,
     off_diagonal_invariant,
+    sequence_invariants,
     support_overlap,
 )
 from .scenarios import (
+    BELL_INVARIANTS,
     BellScenario,
-    _rho2_initial,
     bell_basis,
     bell_mixture,
+    bell_paths,
     closed_form_B_r1,
     closed_form_invariants,
     evolution_spec,
-    run_bell_scenario,
     spin_flip_unitary,
 )
 from .state import (
@@ -289,12 +290,6 @@ def check_integrator_oracle(rng):
 # ---------------------------------------------------------------------------
 # transport
 
-def _bell_paths(s: BellScenario, n: int):
-    spec = evolution_spec(s)
-    grid = TimeGrid.uniform(s.tau, n)
-    return density_path(bell_mixture(s.epsilon), spec, grid)
-
-
 def check_parallelity_steps(rng):
     rho = _random_density(rng, 4)  # full rank
     spec = StaticHamiltonian(_random_hermitian(rng, 4), tau=1.0)
@@ -305,7 +300,8 @@ def check_parallelity_steps(rng):
 def check_reparameterization(rng):
     """Times never enter the product: duplicating samples changes nothing."""
     s = BellScenario(epsilon=0.5, variant="rotating", u=1.0, n_steps=200)
-    path = _bell_paths(s, 200)
+    (rho1, _), spec, grid = bell_paths(s)
+    path = density_path(rho1, spec, grid)
     base = discrete_holonomy(path)
     k = np.arange(len(path))
     idx = np.repeat(k, np.where(k % 7 == 3, 2, 1))  # monotone (non-strict) reparameterization pauses
@@ -347,7 +343,8 @@ def check_transport_convergence(rng):
         for n in (250, 500, 1000, 2000, 4000, 8000):
             s = BellScenario(epsilon=0.5, variant=variant, u=1.0, n_steps=n)
             cf1 = closed_form_invariants(s)[0]
-            res = discrete_holonomy(_bell_paths(s, n))
+            (rho1, _), spec, grid = bell_paths(s)
+            res = discrete_holonomy(density_path(rho1, spec, grid))
             errors.append(op_norm(res.invariant - cf1))
         floor = 1e-12
         monotone = all(
@@ -510,9 +507,9 @@ def check_bell_nodal_grid(rng):
     worst_x12 = 1.0
     for eps in (0.1, 0.5, 1.0, 2.0):
         s = BellScenario(epsilon=eps, variant="static", n_steps=64)
-        rep = run_bell_scenario(s)
-        worst_x1 = max(worst_x1, rep.diagnoses["X1"].support_overlap)
-        worst_x12 = min(worst_x12, rep.diagnoses["X12"].support_overlap)
+        invariants, _ = sequence_invariants(*bell_paths(s), BELL_INVARIANTS)
+        worst_x1 = max(worst_x1, support_overlap(invariants[(1,)]))
+        worst_x12 = min(worst_x12, support_overlap(invariants[(1, 2)]))
     return [
         _result("bell-nodal-grid", "order-1-orthogonal-supports", worst_x1, 1e-9),
         _result("bell-nodal-grid", "order-2-overlap", worst_x12, 0.1, larger_is_better=True),
@@ -573,10 +570,8 @@ def check_gauge_residual_convergence(rng):
 
 def check_reference_return(rng):
     s = BellScenario(epsilon=0.5, variant="static", n_steps=32)
-    spec = evolution_spec(s)
-    rho1 = bell_mixture(s.epsilon)
-    grid = TimeGrid.uniform(s.tau, 32)
-    rho2_path = density_path(_rho2_initial(s), spec, grid)
+    (rho1, rho2), spec, grid = bell_paths(s)
+    rho2_path = density_path(rho2, spec, grid)
     w, V = rho2_path.w[-1], rho2_path.V[-1]
     last = (V * w) @ dagger(V)
     err = op_norm((last + dagger(last)) / 2 - rho1.matrix)

@@ -10,16 +10,18 @@ import numpy as np
 from holonomy_lab.compare import PermutedFamily, discrepancy_report
 from holonomy_lab.evolution import StaticHamiltonian, TimeGrid, density_path
 from holonomy_lab.linalg import op_norm, unitary_exp
-from holonomy_lab.offdiag import nu_functional, off_diagonal_invariant
+from holonomy_lab.offdiag import nu_functional, off_diagonal_invariant, sequence_invariants
 from holonomy_lab.scenarios import (
+    BELL_INVARIANTS,
     BellScenario,
     bell_matrix,
     bell_mixture,
+    bell_paths,
     closed_form_B_r1,
     closed_form_invariants,
     evolution_spec,
     gauge_angle,
-    run_bell_scenario,
+    variant_form_X12,
 )
 from holonomy_lab.state import DensityOperator
 from holonomy_lab.transport import (
@@ -82,14 +84,14 @@ def test_criterion_2_order_two_resolution():
     usf = usf_matrix()
     for eps in (0.25, 0.5, 1.0, 2.0):
         s = BellScenario(epsilon=eps, variant="static", n_steps=400)
-        rep = run_bell_scenario(s)
+        X12 = sequence_invariants(*bell_paths(s), BELL_INVARIANTS)[0][(1, 2)]
         brute = usf @ rho1_matrix(eps) @ usf @ rho1_tau_matrix(eps)
-        worst_op = max(worst_op, op_norm(rep.X12 - brute))
-        diag = rep.diagnoses["X12"]
+        worst_op = max(worst_op, op_norm(X12 - brute))
+        diag = nu_functional(np.eye(4), X12)
         assert diag.phase_defined
         worst_nu = max(worst_nu, angle_diff(diag.phase, np.pi))
         min_overlap = min(min_overlap, diag.support_overlap)
-        variant_log.append(f"eps={eps}: {rep.variant_form_distance:.3e}")
+        variant_log.append(f"eps={eps}: {op_norm(closed_form_invariants(s)[2] - variant_form_X12(s)):.3e}")
     ok = worst_op <= 1e-10 and worst_nu <= 1e-8 and min_overlap >= 0.1
     _report(2, ok, (
         f"X12 vs brute force {worst_op:.2e} (<=1e-10), nu vs pi {worst_nu:.2e} "

@@ -120,6 +120,31 @@ def test_run_rejects_non_list_fields(tmp_path, capsys, field, body):
     assert err == f"error: {field}: expected a list\n"
 
 
+@pytest.mark.parametrize(
+    "body, err",
+    [
+        ("states:\n  - eigenvalues: [0.5, 0.5]\n    eigenvectors: [[1, 0]]\n" + _STATIC_QUBIT,
+         "states[0].eigenvectors: expected 2, one per eigenvalue, got 1"),
+        ("states:\n  - eigenvalues: [0.5, 0.5]\n    eigenvectors: [[1, 0], [0, 1, 0]]\n" + _STATIC_QUBIT,
+         "states[0].eigenvectors[1]: expected 2 entries, got 3"),
+        ("states:\n  - vector: [1, 0]\n" + _SAMPLED_QUBIT.replace("  tau: 1.0\n", "  times: [0, 0, 1]\n"),
+         "evolution.times: time grid must be strictly increasing"),
+        ("states:\n  - vector: [1, 0]\n" + _SAMPLED_QUBIT.replace("  tau: 1.0\n", "  times: [0.5, 0.75, 1]\n"),
+         "evolution.times: time grid must start at 0"),
+        ("states:\n  - vector: [1, 0]\n" + _SAMPLED_QUBIT.replace("  tau: 1.0\n", "  times: [0]\n"),
+         "evolution.times: a time grid needs at least two points"),
+        ("states:\n  - vector: [1, 0]\n" + _SAMPLED_QUBIT.replace("  tau: 1.0\n", "  tau: 0\n"),
+         "evolution.tau: time grid must be strictly increasing"),
+    ],
+    ids=["eigenvector-count", "ragged-eigenvectors", "times-repeated", "times-late-start", "times-one-point",
+         "tau-zero"],
+)
+def test_run_rejects_mismatched_shapes_naming_the_field(tmp_path, capsys, body, err):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("format_version: 1\n" + body, encoding="utf-8")
+    assert run_cli(capsys, "run", "--scenario", str(bad)) == (1, "", f"error: {err}\n")
+
+
 def test_sampled_run_without_grid_uses_the_sample_times(tmp_path, capsys):
     path = tmp_path / "sampled.yaml"
     path.write_text("format_version: 1\nstates:\n  - vector: [[1, 0], [0, 0]]\n" + _SAMPLED_QUBIT, encoding="utf-8")
@@ -479,6 +504,51 @@ def test_sweep_deterministic_apart_from_timing(capsys):
         return [line.rsplit(",", 1)[0] for line in text.splitlines()]
 
     assert strip_timing(out1) == strip_timing(out2)
+
+
+@pytest.mark.parametrize(
+    "scenario, parameter, values",
+    [("bell-static", "epsilon", ("0", "0.5")), ("bell-rotating", "steps", ("100", "200"))],
+)
+def test_sweep_cells_match_run(capsys, scenario, parameter, values):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--scenario", scenario, "--parameter", parameter, "--values", ",".join(values),
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == list(values)
+    for value, row in zip(values, rows):
+        code, out, _ = run_cli(capsys, "run", "--scenario", scenario, f"--{parameter}", value, "--format", "csv")
+        assert code == 0
+        report = dict(line.split(",", 1) for line in out.splitlines()[1:])
+        assert row[1:7] == [
+            report["invariants.0.trace_magnitude"],
+            report["invariants.2.trace_magnitude"],
+            report["invariants.2.nu"],
+            report["invariants.0.support_overlap"],
+            report["invariants.2.support_overlap"],
+            max((report[f"invariants.{i}.closed_form_error"] for i in range(3)), key=float),
+        ]
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        (("run", "--scenario", "bell-static", "--u", "7"), None),
+        (("run",), "format_version: 1\nscenario: bell-static\nu: 7\n"),
+        (("sweep", "--scenario", "bell-static", "--parameter", "u", "--values", "1,3"), None),
+    ],
+    ids=["flag", "file-key", "sweep-value"],
+)
+def test_u_on_the_static_variant_exits_one_naming_u(tmp_path, capsys, argv, body):
+    if body is not None:
+        path = tmp_path / "static.yaml"
+        path.write_text(body, encoding="utf-8")
+        argv = argv + ("--scenario", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "u applies to the rotating variant only; the static variant takes u = 1.0, got" in err
 
 
 # ----------------------------------------------------------------------- verify

@@ -4,19 +4,20 @@ import pytest
 from holonomy_lab.errors import NegativeWeight, WrongVariant
 from holonomy_lab.evolution import TimeGrid, density_path
 from holonomy_lab.linalg import is_partial_isometry, op_norm
-from holonomy_lab.offdiag import off_diagonal_invariant
+from holonomy_lab.offdiag import nu_functional, off_diagonal_invariant, sequence_invariants
 from holonomy_lab.scenarios import (
+    BELL_INVARIANTS,
     BellScenario,
     bell_basis,
     bell_matrix,
     bell_mixture,
+    bell_paths,
     closed_form_B_r1,
     closed_form_invariants,
     evolution_spec,
     from_bell_basis,
     gauge_angle,
     variant_form_X12,
-    run_bell_scenario,
     spin_flip_unitary,
     to_bell_basis,
 )
@@ -233,26 +234,37 @@ def test_rotating_closed_form_against_transport_ode():
     assert op_norm(ode_invariant - cf1) < 1e-10
 
 
-# ------------------------------------------------------------- run_bell_scenario
+# ------------------------------------------------------------- transported scenario
+
+def _transported(s):
+    """Diagnoses of X1, X2, X12, their largest closed-form error, and the path residuals."""
+    invariants, residuals = sequence_invariants(*bell_paths(s), BELL_INVARIANTS)
+    xs = [invariants[seq] for seq in BELL_INVARIANTS]
+    diagnoses = [nu_functional(np.eye(4), x) for x in xs]
+    closed_form_error = max(op_norm(x - cf) for x, cf in zip(xs, closed_form_invariants(s)))
+    return diagnoses, closed_form_error, residuals
+
 
 def test_static_scenario_report():
-    rep = run_bell_scenario(BellScenario(epsilon=0.5, variant="static", n_steps=200))
-    assert not rep.diagnoses["X1"].phase_defined
-    assert not rep.diagnoses["X2"].phase_defined
-    assert rep.diagnoses["X12"].phase_defined
-    assert rep.diagnoses["X12"].phase == pytest.approx(np.pi, abs=1e-10)
-    assert rep.diagnoses["X1"].support_overlap < 1e-9
-    assert rep.diagnoses["X12"].support_overlap > 0.1
-    assert max(rep.closed_form_errors.values()) < 1e-10
-    assert max(rep.transport_residuals.values()) < 1e-10
+    s = BellScenario(epsilon=0.5, variant="static", n_steps=200)
+    (d1, d2, d12), closed_form_error, residuals = _transported(s)
+    assert not d1.phase_defined
+    assert not d2.phase_defined
+    assert d12.phase_defined
+    assert d12.phase == pytest.approx(np.pi, abs=1e-10)
+    assert d1.support_overlap < 1e-9
+    assert d12.support_overlap > 0.1
+    assert closed_form_error < 1e-10
+    assert max(residuals.values()) < 1e-10
 
 
 def test_rotating_scenario_report_small_grid():
-    rep = run_bell_scenario(BellScenario(epsilon=0.5, variant="rotating", u=1.0, n_steps=500))
-    assert not rep.diagnoses["X1"].phase_defined
-    assert rep.diagnoses["X12"].phase_defined
-    assert max(rep.closed_form_errors.values()) < 1e-5
-    assert rep.variant_form_distance > 0.1
+    s = BellScenario(epsilon=0.5, variant="rotating", u=1.0, n_steps=500)
+    (d1, _, d12), closed_form_error, _ = _transported(s)
+    assert not d1.phase_defined
+    assert d12.phase_defined
+    assert closed_form_error < 1e-5
+    assert op_norm(closed_form_invariants(s)[2] - variant_form_X12(s)) > 0.1
 
 
 def test_reference_state_override():
