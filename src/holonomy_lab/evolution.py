@@ -77,11 +77,11 @@ class StaticHamiltonian:
     _eigh: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.tau > 0:  # also rejects nan
+            raise ValueError(f"tau must be positive, got {self.tau!r}")
         H = as_square_matrix(self.hamiltonian)
         if first_norm_above(H - dagger(H), DEFAULT_TOL) is not None:
             raise ValueError("static Hamiltonian must be Hermitian")
-        if self.tau < 0:
-            raise ValueError("tau must be non-negative")
         object.__setattr__(self, "hamiltonian", H)
         object.__setattr__(self, "_eigh", hermitian_eigh(H))
 

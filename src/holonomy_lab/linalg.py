@@ -130,8 +130,8 @@ def hermitian_sqrt(M) -> np.ndarray:
 def eigh_root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Hermitian square root from eigen-data with w >= 0; also on stacks.
 
-    ``w`` has shape (..., d) and ``V`` (..., d, d) with eigenvectors as
-    columns.
+    ``w`` has shape (..., r) and ``V`` (..., d, r) with eigenvectors as
+    columns; r < d gives the root on the span of those columns.
     """
     R = (V * np.sqrt(w)[..., None, :]) @ dagger(V)
     return (R + dagger(R)) / 2

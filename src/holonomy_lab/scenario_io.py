@@ -183,7 +183,7 @@ def _parse_evolution(entry, fieldname: str):
         try:
             return StaticHamiltonian(H, tau=tau)
         except ValueError as exc:
-            _fail(fieldname, str(exc))
+            _fail(fieldname if tau > 0 else f"{fieldname}.tau", str(exc))
     if variant == "rotating":
         u = _as_number(entry.get("u", 1.0), f"{fieldname}.u")
         try:

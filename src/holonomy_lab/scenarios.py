@@ -129,7 +129,7 @@ class BellScenario:
         if not np.pi / float(self.u) < np.inf:
             raise ValueError(f"u must give a finite tau = pi/u, got {self.u!r}")
         if self.n_steps < 2:
-            raise ValueError("need at least two steps")
+            raise ValueError(f"steps must be at least 2, got {self.n_steps!r}")
 
     @property
     def tau(self) -> float:

@@ -132,17 +132,6 @@ class DensityPath:
     def __len__(self) -> int:
         return self.w.shape[0]
 
-    def roots(self, start: int, stop: int) -> np.ndarray:
-        """Square roots of states start..stop-1 as a (stop-start, d, d) stack.
-
-        Eigenvalues outside ``kept_directions`` at ``DEFAULT_TOL`` count as
-        zero: they are round-off within the input slack of
-        ``validate_density``, and their square roots (about 3e-9 for 1e-17)
-        would enter the transport.
-        """
-        w = self.w[start:stop]
-        return eigh_root(np.where(kept_directions(w, DEFAULT_TOL), w, 0.0), self.V[start:stop])
-
     def __repr__(self):
         return f"DensityPath(states={len(self)}, dim={self.dim})"
 

@@ -5,6 +5,17 @@ of the polar decomposition of rho_{k+1}^{1/2} rho_k^{1/2} is applied, which
 makes every consecutive amplitude pair exactly parallel. The product,
 restricted to the support of rho(0), is the relative phase factor; grid
 times never enter, so the result depends only on the ordered states.
+
+The product is taken in the eigenframes of the path. E_k holds the r
+eigenvectors of state k whose columns carry weight anywhere on the path,
+and s_k the square roots of their eigenvalues, so rho_k^{1/2} is
+E_k diag(s_k) E_k^dag and a step is E_{k+1} A_k E_k^dag with the r x r
+matrix A_k = diag(s_{k+1}) E_{k+1}^dag E_k diag(s_k). A_k has the step's
+nonzero singular values, and its polar isometry P_k gives the phase
+factor E_n P_{n-1} ... P_0 diag(d0) E_0^dag, with d0 the kept support of
+rho(0). Step SVDs, the frame product and the parallelity residuals are
+r x r; d x d matrices appear only at the ends of the path and in the
+amplitudes ``solve_ancilla_gauge`` reads.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from .linalg import (
     DEFAULT_TOL,
     as_square_stack,
     dagger,
+    eigh_root,
     first_norm_above,
     kept_directions,
     support_power,
@@ -81,6 +93,25 @@ class AncillaGauge:
             raise ValueError(f"gauge sample {bad[0]} is not a partial isometry")
 
 
+def _step_isometries(A, tol, start):
+    """Polar isometries of one chunk's step matrices; ``A[j]`` is step start + j.
+
+    The singular values of a step sum to the square root of its transition
+    probability; the first step at or below tol raises OrthogonalStep.
+    Singular directions outside kept_directions are cut.
+    """
+    X, sv, Yh = np.linalg.svd(A)
+    fid = np.sum(sv, axis=-1) ** 2
+    orthogonal = np.flatnonzero(fid <= tol)
+    if orthogonal.size:
+        k = start + int(orthogonal[0])
+        raise OrthogonalStep(
+            f"transition probability {float(fid[k - start]):.3e} <= tol between steps {k} and {k + 1}"
+        )
+    X *= kept_directions(sv, tol)[:, None, :]
+    return X @ Yh
+
+
 def _transport(path, tol, keep_amplitudes):
     if not isinstance(path, DensityPath):
         raise TypeError(
@@ -90,46 +121,59 @@ def _transport(path, tol, keep_amplitudes):
     if len(path) < 2:
         raise ValueError("a path needs at least two states")
     n = len(path) - 1
-    # Every rank decision of the transport is made at the caller's tol.
-    initial = root = path.roots(0, 1)[0]
-    V = support_power(path.w[0], path.V[0], 0, tol)
-    prev_amp = root @ V  # rho(0)^{1/2} on the kept support
-    amps = [prev_amp] if keep_amplitudes else None
+    # Eigenvalues outside kept_directions at DEFAULT_TOL count as zero: they
+    # are round-off within the input slack of validate_density, and their
+    # square roots (about 3e-9 for 1e-17) would enter the transport. The
+    # eigenframe columns that keep weight anywhere on the path (E_k = V_k[:,
+    # cols]) span every support; no order of the spectra is assumed.
+    kept = kept_directions(path.w, DEFAULT_TOL)
+    cols = np.flatnonzero(kept.any(axis=0))
+    w0 = np.where(kept[0], path.w[0], 0.0)[cols]
+    E0 = path.V[0][:, cols]
+    initial = eigh_root(w0, E0)
+    # Every rank decision of the transport is made at the caller's tol; d0
+    # restricts the frames to the kept support of rho(0).
+    d0 = kept_directions(path.w[0], tol)[cols]
+    # Amplitude k is E_k B_k E_0^dag with B_k = diag(s_k) Q_k diag(d0), where
+    # Q_k = P_{k-1} ... P_0 is the product of the r x r step isometries.
+    Q = np.eye(cols.size, dtype=complex)
+    B = np.diag(np.sqrt(w0) * d0).astype(complex)
+    amps = [E0 @ B @ dagger(E0)] if keep_amplitudes else None
     max_residual = 0.0
 
     for start in range(0, n, PATH_CHUNK):
         stop = min(start + PATH_CHUNK, n)
-        # Roots of states start..stop; step k maps state k to state k+1.
-        roots = np.concatenate([root[None], path.roots(start + 1, stop + 1)])
-        root = roots[-1]
-        U, s, Vh = np.linalg.svd(roots[1:] @ roots[:-1])
-        # The singular values of sqrt(rho_{k+1}) sqrt(rho_k) sum to the
-        # square root of the transition probability of the step.
-        fid = np.sum(s, axis=-1) ** 2
-        orthogonal = np.flatnonzero(fid <= tol)
-        if orthogonal.size:
-            k = start + int(orthogonal[0])
-            raise OrthogonalStep(
-                f"transition probability {float(fid[k - start]):.3e} <= tol between steps {k} and {k + 1}"
-            )
-        # Step isometries: singular directions outside kept_directions are cut.
-        steps = (U * kept_directions(s, tol)[:, None, :]) @ Vh
-        frames = np.empty_like(steps)
-        for j, step in enumerate(steps):
-            V = step @ V
-            frames[j] = V
-        chunk_amps = roots[1:] @ frames
+        # Eigenframes of states start..stop; step k maps state k to state k+1.
+        E = path.V[start : stop + 1][..., cols]
+        sk = np.sqrt(np.where(kept[start : stop + 1], path.w[start : stop + 1], 0.0)[:, cols])
+        G = dagger(E[1:]) @ E[:-1]
+        # The step isometries P_k of the A_k, overwritten in place by
+        # Q_{k+1} = P_k Q_k and then by B_{k+1}.
+        Bs = _step_isometries(sk[1:, :, None] * G * sk[:-1, None, :], tol, start)
+        for j in range(len(Bs)):
+            Q = Bs[j] = Bs[j] @ Q
+        Bs *= sk[1:, :, None]
+        Bs *= d0
+        # B_k^dag G_k^dag B_{k+1} is W_k^dag W_{k+1} in the coordinates of E_0,
+        # so the residual is that of the amplitudes this route produces.
+        overlaps = dagger(G) @ Bs
         # One residual call per step: holobench's traced replay pins this count (ROADMAP item 1).
-        for amp in chunk_amps:
-            max_residual = max(max_residual, parallelity_residual(prev_amp, amp))
-            prev_amp = amp
+        for j in range(len(Bs)):
+            max_residual = max(max_residual, parallelity_residual(B, overlaps[j]))
+            B = Bs[j]
         if keep_amplitudes:
-            amps.extend(chunk_amps)
+            amps.extend(E[1:] @ Bs @ dagger(E0))
+        # Free this chunk's stacks before the next chunk allocates its own,
+        # which bounds the peak memory of the transport at large d.
+        B = B.copy()
+        del E, G, Bs, overlaps
+    E = path.V[n][:, cols]
+    final = E @ B @ dagger(E0)
     result = TransportResult(
-        relative_phase_factor=V,
+        relative_phase_factor=E @ (Q * d0) @ dagger(E0),
         initial_amplitude=initial,
-        final_amplitude=prev_amp,
-        invariant=prev_amp @ dagger(initial),
+        final_amplitude=final,
+        invariant=final @ dagger(initial),
         max_step_parallelity_residual=max_residual,
         n_steps=n,
     )

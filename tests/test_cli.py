@@ -135,9 +135,11 @@ def test_run_rejects_non_list_fields(tmp_path, capsys, field, body):
          "evolution.times: a time grid needs at least two points"),
         ("states:\n  - vector: [1, 0]\n" + _SAMPLED_QUBIT.replace("  tau: 1.0\n", "  tau: 0\n"),
          "evolution.tau: time grid must be strictly increasing"),
+        ("states:\n  - vector: [1, 0]\n" + _STATIC_QUBIT.replace("  tau: 1.0\n", "  tau: 0\n"),
+         "evolution.tau: tau must be positive, got 0.0"),
     ],
     ids=["eigenvector-count", "ragged-eigenvectors", "times-repeated", "times-late-start", "times-one-point",
-         "tau-zero"],
+         "tau-zero", "tau-zero-static"],
 )
 def test_run_rejects_mismatched_shapes_naming_the_field(tmp_path, capsys, body, err):
     bad = tmp_path / "bad.yaml"
@@ -549,6 +551,26 @@ def test_u_on_the_static_variant_exits_one_naming_u(tmp_path, capsys, argv, body
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "u applies to the rotating variant only; the static variant takes u = 1.0, got" in err
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        (("run", "--scenario", "bell-static", "--steps", "1"), None),
+        (("run",), "format_version: 1\nscenario: bell-rotating\nsteps: 1\n"),
+        (("sweep", "--scenario", "bell-static", "--parameter", "steps", "--values", "1"), None),
+    ],
+    ids=["flag", "file-key", "sweep-value"],
+)
+def test_one_step_exits_one_naming_steps(tmp_path, capsys, argv, body):
+    if body is not None:
+        path = tmp_path / "one-step.yaml"
+        path.write_text(body, encoding="utf-8")
+        argv = argv + ("--scenario", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    prefix = "scenario: " if body is not None else ""
+    assert err == f"error: {prefix}steps must be at least 2, got 1\n"
 
 
 # ----------------------------------------------------------------------- verify

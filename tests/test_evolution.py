@@ -53,6 +53,12 @@ def test_static_spin_flip_endpoint():
     assert np.allclose(unitary_at(spec, np.pi / 2), usf_matrix(), atol=1e-12)
 
 
+def test_static_tau_must_be_positive():
+    for tau in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match=r"^tau must be positive, got "):
+            StaticHamiltonian(SIGMA_Z, tau=tau)
+
+
 def test_rotating_endpoint_matches_static_flip():
     # The rotating drive implements the same flip at t = pi / u.
     for u in (0.5, 1.0, 2.0):

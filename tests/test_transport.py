@@ -13,7 +13,7 @@ from holonomy_lab.evolution import (
     density_path,
     unitary_at,
 )
-from holonomy_lab.linalg import dagger, hermitian_sqrt, is_partial_isometry, op_norm, unitary_exp
+from holonomy_lab.linalg import DEFAULT_TOL, dagger, hermitian_sqrt, is_partial_isometry, op_norm, unitary_exp
 from holonomy_lab.scenarios import (
     BellScenario,
     bell_mixture,
@@ -23,6 +23,7 @@ from holonomy_lab.scenarios import (
 from holonomy_lab.state import PATH_CHUNK, DensityOperator, DensityPath, parallelity_residual
 from holonomy_lab.transport import (
     AncillaGauge,
+    _transport,
     discrete_holonomy,
     pure_parallelity_residual,
     solve_ancilla_gauge,
@@ -32,9 +33,11 @@ from holonomy_lab.transport import (
 from conftest import (
     PSI_MINUS,
     PSI_PLUS,
+    dyad,
     path_matrices,
     random_density_matrix,
     random_hermitian,
+    random_unitary,
     rho1_matrix,
     usf_matrix,
 )
@@ -123,20 +126,26 @@ def test_list_of_states_rejected():
         discrete_holonomy([rho, rho])
 
 
-def _step_by_step_transport(states, tol=1e-9):
-    """Reference transporter: one state, one SVD and one step at a time."""
-    sqrts = [rho.sqrt for rho in states]
-    V = states[0].support.copy()
-    prev = sqrts[0] @ V
-    worst = 0.0
-    for k in range(len(states) - 1):
-        U, s, Vh = np.linalg.svd(sqrts[k + 1] @ sqrts[k])
+def _root_product(path, tol=DEFAULT_TOL):
+    """Reference transporter on d x d roots: one SVD of sqrt(rho_{k+1}) sqrt(rho_k) per step.
+
+    Eigenvalues at or below DEFAULT_TOL times the largest count as zero in
+    the roots; the rank cuts use tol. Returns the phase factor, the
+    invariant and the amplitudes, or raises OrthogonalStep naming the step.
+    """
+    roots = []
+    for w, V in zip(path.w, path.V):
+        roots.append(V @ np.diag(np.sqrt(np.where(w > DEFAULT_TOL * w.max(), w, 0.0))) @ dagger(V))
+    frame = path.V[0] @ np.diag(path.w[0] > tol * path.w[0].max()) @ dagger(path.V[0])
+    amps = [roots[0] @ frame]
+    for k in range(len(path) - 1):
+        U, s, Vh = np.linalg.svd(roots[k + 1] @ roots[k])
+        if s.sum() ** 2 <= tol:
+            raise OrthogonalStep(f"between steps {k} and {k + 1}")
         keep = s > tol * s[0]
-        V = U[:, keep] @ Vh[keep, :] @ V
-        amp = sqrts[k + 1] @ V
-        worst = max(worst, parallelity_residual(prev, amp))
-        prev = amp
-    return V, prev @ dagger(sqrts[0]), worst
+        frame = U[:, keep] @ Vh[keep] @ frame
+        amps.append(roots[k + 1] @ frame)
+    return frame, amps[-1] @ roots[0], amps
 
 
 def test_chunked_transport_matches_step_by_step_reference():
@@ -145,8 +154,10 @@ def test_chunked_transport_matches_step_by_step_reference():
     H = random_hermitian(rng, 5)
     grid = TimeGrid.uniform(1.1, 2 * PATH_CHUNK + 3)
     matrices = np.stack([unitary_exp(H, t) @ rho.matrix @ unitary_exp(H, t).conj().T for t in grid.times])
-    V, invariant, worst = _step_by_step_transport([DensityOperator(m) for m in matrices])
-    res = discrete_holonomy(DensityPath.from_matrices([matrices]))
+    path = DensityPath.from_matrices([matrices])
+    V, invariant, amps = _root_product(path)
+    worst = max(parallelity_residual(a, b) for a, b in zip(amps, amps[1:]))
+    res = discrete_holonomy(path)
     assert res.n_steps == 2 * PATH_CHUNK + 3
     assert op_norm(res.relative_phase_factor - V) < 1e-12
     assert op_norm(res.invariant - invariant) < 1e-12
@@ -190,6 +201,90 @@ def test_orthogonal_step_in_a_later_chunk_is_named():
     path = DensityPath.from_matrices([np.stack([a.matrix] * (k + 1) + [b.matrix] * PATH_CHUNK)])
     with pytest.raises(OrthogonalStep, match=f"between steps {k} and {k + 1}$"):
         discrete_holonomy(path)
+
+
+def _assert_matches_root_product(path, tol=DEFAULT_TOL):
+    frame, invariant, amps = _root_product(path, tol)
+    res = discrete_holonomy(path, tol)
+    assert op_norm(res.invariant - invariant) < 1e-12
+    assert op_norm(res.relative_phase_factor - frame) < 1e-12
+    assert op_norm(res.final_amplitude - amps[-1]) < 1e-12
+
+
+def _random_orbit(rng, dim, rank, n=12):
+    rho = DensityOperator(random_density_matrix(rng, dim, rank))
+    return density_path(rho, StaticHamiltonian(random_hermitian(rng, dim), tau=0.8), TimeGrid.uniform(0.8, n))
+
+
+@pytest.mark.parametrize("dim, rank", [(d, r) for d in range(2, 9) for r in range(1, d + 1)])
+def test_transport_matches_root_product_on_random_paths(dim, rank):
+    _assert_matches_root_product(_random_orbit(np.random.default_rng([dim, rank]), dim, rank))
+
+
+def test_transport_matches_root_product_when_the_rank_changes():
+    # rho(x) = (1 - x) |a><a| + x sigma with sigma of rank 2 off a: rank 1 at
+    # the ends, 3 in between; the frame rotates under a random H.
+    rng = np.random.default_rng(5)
+    vecs = np.linalg.qr(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))[0]
+    a, b, c = vecs.T
+    a, sigma = dyad(a, a), (dyad(b, b) + 2 * dyad(c, c)) / 3
+    H = random_hermitian(rng, 4)
+    matrices = []
+    for k, x in enumerate(np.sin(np.linspace(0.0, np.pi, 41)) ** 2):
+        U = unitary_exp(H, 0.02 * k)
+        matrices.append(U @ ((1 - x) * a + x * sigma) @ dagger(U))
+    path = DensityPath.from_matrices([np.stack(matrices)])
+    ranks = [DensityOperator(m).rank() for m in matrices]
+    assert ranks[0] == ranks[-1] == 1 and max(ranks) == 3
+    _assert_matches_root_product(path)
+
+
+def test_transport_matches_root_product_on_unsorted_spectra():
+    path = _random_orbit(np.random.default_rng(7), 5, 3)
+    perms = np.array([np.random.default_rng(k).permutation(5) for k in range(len(path))])
+    shuffled = DensityPath(np.take_along_axis(path.w, perms, axis=1), np.take_along_axis(path.V, perms[:, None, :], axis=2))
+    assert not all(np.all(np.diff(w) >= 0) for w in shuffled.w)
+    _assert_matches_root_product(shuffled)
+    ordered = discrete_holonomy(path)
+    assert op_norm(discrete_holonomy(shuffled).invariant - ordered.invariant) < 1e-12
+
+
+def test_transport_matches_root_product_at_a_loose_tol():
+    # The smallest eigenvalue is kept at DEFAULT_TOL and cut at tol = 1e-3.
+    rng = np.random.default_rng(9)
+    V = random_unitary(rng, 3)
+    rho = DensityOperator(V @ np.diag([0.6, 0.3998, 2e-4]) @ dagger(V))
+    assert rho.rank() == 3 and rho.rank(1e-3) == 2
+    spec = StaticHamiltonian(random_hermitian(rng, 3), tau=0.8)
+    path = density_path(rho, spec, TimeGrid.uniform(0.8, 12))
+    _assert_matches_root_product(path, tol=1e-3)
+    assert op_norm(discrete_holonomy(path, 1e-3).invariant - discrete_holonomy(path).invariant) > 1e-6
+
+
+def test_orthogonal_step_is_named_as_in_the_root_product():
+    rng = np.random.default_rng(13)
+    path = _random_orbit(rng, 4, 2, n=PATH_CHUNK + 8)
+    # From state k + 1 on, the path lives on the orthogonal complement of state k.
+    k = PATH_CHUNK + 3
+    w, V = path.w.copy(), path.V.copy()
+    w[k + 1 :] = w[k][::-1]
+    V[k + 1 :] = V[k]
+    jumped = DensityPath(w, V)
+    with pytest.raises(OrthogonalStep, match=f"between steps {k} and {k + 1}$"):
+        _root_product(jumped)
+    with pytest.raises(OrthogonalStep, match=f"between steps {k} and {k + 1}$"):
+        discrete_holonomy(jumped)
+
+
+@pytest.mark.parametrize("dim, rank", [(4, 2), (5, 5)])
+def test_residual_is_that_of_the_amplitudes(dim, rank):
+    path = _random_orbit(np.random.default_rng([dim, rank, 1]), dim, rank, n=PATH_CHUNK + 4)
+    res, amps = _transport(path, DEFAULT_TOL, keep_amplitudes=True)
+    assert len(amps) == len(path)
+    worst = max(parallelity_residual(a, b) for a, b in zip(amps, amps[1:]))
+    assert res.max_step_parallelity_residual > 0.0
+    assert abs(res.max_step_parallelity_residual - worst) < 1e-14
+    assert op_norm(amps[-1] - res.final_amplitude) < 1e-14
 
 
 def test_density_path_indexing():
