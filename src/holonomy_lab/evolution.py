@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GridMiss, NotUnitary, OutOfRange
 from .linalg import DEFAULT_TOL, as_square_matrix, dagger, eigh_exp, first_norm_above, hermitian_eigh
-from .state import DensityOperator, DensityPath, chunk_slices
+from .state import DensityOperator, DensityPath
 
 __all__ = [
     "SIGMA_X",
@@ -47,6 +47,8 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("a time grid needs at least two points")
+        if not np.isfinite(t).all():
+            raise ValueError("time grid must be finite")
         if abs(t[0]) > time_slack(t[-1]):
             raise ValueError("time grid must start at 0")
         if np.any(np.diff(t) <= 0):
@@ -57,6 +59,8 @@ class TimeGrid:
     def uniform(cls, tau: float, n_steps: int = 1000) -> "TimeGrid":
         if n_steps < 1:
             raise ValueError("n_steps must be positive")
+        if not np.isfinite(tau):  # checked first: linspace to inf warns
+            raise ValueError("time grid must be finite")
         return cls(np.linspace(0.0, float(tau), n_steps + 1))
 
     @property
@@ -268,14 +272,27 @@ def density_path(rho0: DensityOperator, spec: EvolutionSpec, grid: TimeGrid) -> 
     U(t) rho0.eigenvectors, so rho0 is diagonalised once, when it is
     built, and no state of the path is diagonalised or validated again:
     rho0 is a validated state and every U(t) is unitary. The eigenvectors
-    are formed ``PATH_CHUNK`` grid times at a time.
+    are not stored: the path computes those of a range of grid times each
+    time they are read (``DensityPath.frames``), so a transport holds one
+    chunk of them at a time and its memory does not grow with the grid.
+    The whole grid is checked here, so OutOfRange and GridMiss come from
+    this call, naming the first time that fails.
     """
     if rho0.dim != spec.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} vs evolution dim {spec.dim}")
     times = grid.times
-    V = np.empty((times.size, spec.dim, spec.dim), dtype=complex)
-    for k in chunk_slices(0, times.size):
+    bad = first_time_outside(times, spec.tau)
+    if isinstance(spec, SampledUnitaries):
+        # A time without a sample before the first time out of range fails first.
+        spec.sample_index(times if bad is None else times[: np.argmax(times == bad)])
+    _check_time(spec, times)
+
+    def frames(start, stop):
+        ts = times[start:stop]
+        us = np.empty((ts.size, spec.dim, spec.dim), dtype=complex)
         # One scalar call per time: holobench's traced replay pins this count (ROADMAP item 1).
-        us = np.array([unitary_at(spec, float(t)) for t in times[k]])
-        V[k] = us @ rho0.eigenvectors
-    return DensityPath(np.broadcast_to(rho0.eigenvalues, (times.size, spec.dim)), V)
+        for j, t in enumerate(ts):
+            us[j] = unitary_at(spec, float(t))
+        return us @ rho0.eigenvectors
+
+    return DensityPath(np.broadcast_to(rho0.eigenvalues, (times.size, spec.dim)), frames)

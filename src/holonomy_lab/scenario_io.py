@@ -83,6 +83,11 @@ def as_tolerance(value, fieldname: str) -> float:
 def _as_int(value, fieldname: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
+    if isinstance(value, str):
+        try:
+            return int(value)  # exactly: a float rounds integers beyond 2**53
+        except ValueError:
+            pass
     try:
         # Strings count as for _as_number (YAML 1.1 reads 1e3 as a string).
         number = float(value) if isinstance(value, (str, float)) else None

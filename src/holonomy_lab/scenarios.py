@@ -130,6 +130,9 @@ class BellScenario:
             raise ValueError(f"u must give a finite tau = pi/u, got {self.u!r}")
         if self.n_steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.n_steps!r}")
+        # The grid's n_steps + 1 times must fit one numpy array.
+        if self.n_steps >= np.iinfo(np.intp).max:
+            raise ValueError(f"steps must be less than {np.iinfo(np.intp).max}, got {self.n_steps!r}")
 
     @property
     def tau(self) -> float:

@@ -102,18 +102,21 @@ def chunk_slices(start: int, stop: int) -> list:
 
 
 class DensityPath:
-    """An ordered sequence of density operators of one dimension.
+    """An ordered sequence of density operators of one dimension, as eigen-data.
 
-    Only the validated eigen-data is held: ``w`` with shape (n+1, d)
-    (spectra ascending, clipped to [0, 1]) and ``V`` with shape
-    (n+1, d, d) (eigenvectors as columns); state k is ``w[k], V[k]``.
-    The constructor trusts its arguments; ``from_matrices`` validates
-    raw matrices.
+    ``w`` has shape (n+1, d): the spectra, ascending and clipped to
+    [0, 1]. The eigenvectors (frames, as columns) are read through
+    ``frames``. ``V`` is either the (n+1, d, d) stack of frames, which the
+    path stores, or a function ``V(start, stop)`` that computes the frames
+    of states start..stop-1 when they are read; ``density_path`` builds
+    orbits that way, so a transport holds one chunk of frames at a time.
+    The constructor trusts its arguments; ``from_matrices`` validates raw
+    matrices.
     """
 
-    def __init__(self, w: np.ndarray, V: np.ndarray):
+    def __init__(self, w: np.ndarray, V):
         self.w = w
-        self.V = V
+        self._frames = V
 
     @classmethod
     def from_matrices(cls, chunks) -> "DensityPath":
@@ -125,9 +128,19 @@ class DensityPath:
             Vs.append(V)
         return cls(np.concatenate(ws), np.concatenate(Vs))
 
+    def frames(self, start: int, stop: int) -> np.ndarray:
+        """The frames of states start..stop-1, as a (stop - start, d, d) stack."""
+        V = self._frames
+        return V(start, stop) if callable(V) else V[start:stop]
+
+    @property
+    def V(self) -> np.ndarray:
+        """Every frame as one (n+1, d, d) stack; a streamed path computes it on each read."""
+        return self.frames(0, len(self))
+
     @property
     def dim(self) -> int:
-        return self.V.shape[-1]
+        return self.w.shape[-1]
 
     def __len__(self) -> int:
         return self.w.shape[0]

@@ -16,6 +16,12 @@ factor E_n P_{n-1} ... P_0 diag(d0) E_0^dag, with d0 the kept support of
 rho(0). Step SVDs, the frame product and the parallelity residuals are
 r x r; d x d matrices appear only at the ends of the path and in the
 amplitudes ``solve_ancilla_gauge`` reads.
+
+The frames are read through ``DensityPath.frames`` one chunk of
+``PATH_CHUNK`` steps at a time, each exactly once, and every stack of a
+chunk is dropped once it is used. On a path from ``density_path``, which
+computes its frames when they are read, the transport's memory is then
+bounded by a few chunks whatever the length of the path.
 """
 
 from __future__ import annotations
@@ -93,14 +99,17 @@ class AncillaGauge:
             raise ValueError(f"gauge sample {bad[0]} is not a partial isometry")
 
 
-def _step_isometries(A, tol, start):
-    """Polar isometries of one chunk's step matrices; ``A[j]`` is step start + j.
+def _step_isometries(G, sk, tol, start):
+    """Polar isometries of one chunk's step matrices A_j = diag(sk[j + 1]) G[j] diag(sk[j]).
 
-    The singular values of a step sum to the square root of its transition
-    probability; the first step at or below tol raises OrthogonalStep.
-    Singular directions outside kept_directions are cut.
+    ``A[j]`` is step start + j. The singular values of a step sum to the
+    square root of its transition probability; the first step at or below
+    tol raises OrthogonalStep. Singular directions outside kept_directions
+    are cut.
     """
+    A = sk[1:, :, None] * G * sk[:-1, None, :]
     X, sv, Yh = np.linalg.svd(A)
+    del A
     fid = np.sum(sv, axis=-1) ** 2
     orthogonal = np.flatnonzero(fid <= tol)
     if orthogonal.size:
@@ -129,7 +138,8 @@ def _transport(path, tol, keep_amplitudes):
     kept = kept_directions(path.w, DEFAULT_TOL)
     cols = np.flatnonzero(kept.any(axis=0))
     w0 = np.where(kept[0], path.w[0], 0.0)[cols]
-    E0 = path.V[0][:, cols]
+    E = path.frames(0, 1)[..., cols]
+    E0 = E[0]
     initial = eigh_root(w0, E0)
     # Every rank decision of the transport is made at the caller's tol; d0
     # restricts the frames to the kept support of rho(0).
@@ -144,12 +154,17 @@ def _transport(path, tol, keep_amplitudes):
     for start in range(0, n, PATH_CHUNK):
         stop = min(start + PATH_CHUNK, n)
         # Eigenframes of states start..stop; step k maps state k to state k+1.
-        E = path.V[start : stop + 1][..., cols]
+        # Frame start is the previous chunk's last, so each frame is read once.
+        E = np.concatenate([E[-1:], path.frames(start + 1, stop + 1)[..., cols]])
         sk = np.sqrt(np.where(kept[start : stop + 1], path.w[start : stop + 1], 0.0)[:, cols])
         G = dagger(E[1:]) @ E[:-1]
+        # Free the chunk's frames as soon as they are used, keeping the last
+        # one and, for the amplitudes, the rest; the stacks below go the same
+        # way, which bounds the transport's memory by a few chunks.
+        E = E[1:] if keep_amplitudes else E[-1:].copy()
         # The step isometries P_k of the A_k, overwritten in place by
         # Q_{k+1} = P_k Q_k and then by B_{k+1}.
-        Bs = _step_isometries(sk[1:, :, None] * G * sk[:-1, None, :], tol, start)
+        Bs = _step_isometries(G, sk, tol, start)
         for j in range(len(Bs)):
             Q = Bs[j] = Bs[j] @ Q
         Bs *= sk[1:, :, None]
@@ -157,17 +172,17 @@ def _transport(path, tol, keep_amplitudes):
         # B_k^dag G_k^dag B_{k+1} is W_k^dag W_{k+1} in the coordinates of E_0,
         # so the residual is that of the amplitudes this route produces.
         overlaps = dagger(G) @ Bs
+        del G
         # One residual call per step: holobench's traced replay pins this count (ROADMAP item 1).
         for j in range(len(Bs)):
             max_residual = max(max_residual, parallelity_residual(B, overlaps[j]))
             B = Bs[j]
+        del overlaps
         if keep_amplitudes:
-            amps.extend(E[1:] @ Bs @ dagger(E0))
-        # Free this chunk's stacks before the next chunk allocates its own,
-        # which bounds the peak memory of the transport at large d.
+            amps.extend(E @ Bs @ dagger(E0))
         B = B.copy()
-        del E, G, Bs, overlaps
-    E = path.V[n][:, cols]
+        del Bs
+    E = E[-1]
     final = E @ B @ dagger(E0)
     result = TransportResult(
         relative_phase_factor=E @ (Q * d0) @ dagger(E0),
@@ -183,7 +198,8 @@ def _transport(path, tol, keep_amplitudes):
 def discrete_holonomy(path: DensityPath, tol: float = DEFAULT_TOL) -> TransportResult:
     """Transport the standard purification of the first state along the whole path.
 
-    ``path`` is a ``DensityPath``; anything else raises TypeError. Raises
+    ``path`` is a ``DensityPath``, stored or streamed; anything else raises
+    TypeError. The frames are read once each, a chunk at a time. Raises
     OrthogonalStep when a consecutive pair has transition probability
     below tol (the holonomy is undefined along such paths).
     """

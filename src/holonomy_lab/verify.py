@@ -268,7 +268,8 @@ def check_path_spectrum(rng):
     path = density_path(rho, spec, TimeGrid.uniform(1.3, 50))
     # Spectra of the states rebuilt from the eigen-data, not the stored
     # eigenvalues: this fails if the eigenvectors lose orthonormality.
-    m = (path.V * path.w[:, None, :]) @ dagger(path.V)
+    V = path.V
+    m = (V * path.w[:, None, :]) @ dagger(V)
     worst = float(np.max(np.abs(np.linalg.eigvalsh((m + dagger(m)) / 2) - rho.eigenvalues)))
     return [_result("path-spectrum", "unitary-invariance", worst, 1e-10)]
 
@@ -572,7 +573,8 @@ def check_reference_return(rng):
     s = BellScenario(epsilon=0.5, variant="static", n_steps=32)
     (rho1, rho2), spec, grid = bell_paths(s)
     rho2_path = density_path(rho2, spec, grid)
-    w, V = rho2_path.w[-1], rho2_path.V[-1]
+    n = grid.n_steps
+    w, V = rho2_path.w[n], rho2_path.frames(n, n + 1)[0]
     last = (V * w) @ dagger(V)
     err = op_norm((last + dagger(last)) / 2 - rho1.matrix)
     return [_result("reference-return", "flip-returns-reference", err, 1e-10)]

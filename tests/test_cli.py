@@ -573,6 +573,30 @@ def test_one_step_exits_one_naming_steps(tmp_path, capsys, argv, body):
     assert err == f"error: {prefix}steps must be at least 2, got 1\n"
 
 
+_HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        (("run", "--scenario", "bell-static", "--steps", _HUGE), None),
+        (("run",), f"format_version: 1\nscenario: bell-static\nsteps: {_HUGE}\n"),
+        (("sweep", "--scenario", "bell-static", "--parameter", "steps", "--values", _HUGE), None),
+    ],
+    ids=["flag", "file-key", "sweep-value"],
+)
+def test_huge_step_count_exits_one_naming_steps(tmp_path, capsys, argv, body):
+    # Beyond any numpy array length: rejected before a grid is built.
+    if body is not None:
+        path = tmp_path / "huge.yaml"
+        path.write_text(body, encoding="utf-8")
+        argv = argv + ("--scenario", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    prefix = "scenario: " if body is not None else ""
+    assert err == f"error: {prefix}steps must be less than {np.iinfo(np.intp).max}, got {_HUGE}\n"
+
+
 # ----------------------------------------------------------------------- verify
 
 def test_verify_single_group(capsys):

@@ -32,6 +32,21 @@ def test_uniform_grid():
     assert np.allclose(g.times, [0.0, 0.5, 1.0, 1.5, 2.0])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TimeGrid(np.array([0.0, np.nan, 1.0])),
+        lambda: TimeGrid(np.array([0.0, 0.5, np.inf])),
+        lambda: TimeGrid.uniform(np.nan, 4),
+        lambda: TimeGrid.uniform(np.inf, 4),
+    ],
+    ids=["nan-inside", "inf-end", "uniform-nan", "uniform-inf"],
+)
+def test_grid_must_be_finite(build):
+    with pytest.raises(ValueError, match="^time grid must be finite$"):
+        build()
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(np.array([0.0, 0.5, 0.5]))
@@ -379,3 +394,49 @@ def test_dimension_mismatch():
     spec = StaticHamiltonian(np.eye(4), tau=1.0)
     with pytest.raises(DimensionMismatch):
         density_path(rho, spec, TimeGrid.uniform(1.0, 4))
+
+
+def _counted_unitary_at(monkeypatch):
+    from holonomy_lab import evolution
+
+    calls = []
+
+    def counted(spec, t):
+        calls.append(t)
+        return unitary_at(spec, t)
+
+    monkeypatch.setattr(evolution, "unitary_at", counted)
+    return calls
+
+
+def test_density_path_streams_its_frames(monkeypatch, rng):
+    # No frame is computed until one is read, and a read computes only its own.
+    rho = DensityOperator(np.diag([0.5, 0.3, 0.2]).astype(complex))
+    spec = StaticHamiltonian(random_hermitian(rng, 3), tau=2.0)
+    grid = TimeGrid.uniform(2.0, 300)
+    calls = _counted_unitary_at(monkeypatch)
+    path = density_path(rho, spec, grid)
+    assert calls == [] and len(path) == 301 and path.dim == 3
+    frames = path.frames(PATH_CHUNK - 1, PATH_CHUNK + 2)
+    assert calls == list(grid.times[PATH_CHUNK - 1 : PATH_CHUNK + 2])
+    expected = np.array([unitary_exp(spec.hamiltonian, float(t)) for t in calls]) @ rho.eigenvectors
+    assert np.allclose(frames, expected, atol=1e-12)
+    assert np.array_equal(path.V[PATH_CHUNK - 1 : PATH_CHUNK + 2], frames)
+
+
+def test_density_path_checks_the_whole_grid_when_called(monkeypatch):
+    rho = DensityOperator.maximally_mixed(2)
+    calls = _counted_unitary_at(monkeypatch)
+    spec = StaticHamiltonian(SIGMA_Z, tau=1.0)
+    late = TimeGrid(np.array([0.0, 0.5, 1.0, 1.25, 1.5]))
+    with pytest.raises(OutOfRange, match=r"^t = 1\.25 outside \[0, 1\.0\]$"):
+        density_path(rho, spec, late)
+    sampled = SampledUnitaries((np.eye(2), unitary_exp(SIGMA_X, 0.5), unitary_exp(SIGMA_X, 1.0)), TimeGrid.uniform(1.0, 2))
+    with pytest.raises(GridMiss, match=r"^t = 0\.25 is not a sample point"):
+        density_path(rho, sampled, TimeGrid.uniform(1.0, 4))
+    # As a time-ordered scan of U(t_k) would: the first failing time decides.
+    with pytest.raises(GridMiss, match=r"^t = 0\.25 is not a sample point"):
+        density_path(rho, sampled, TimeGrid(np.array([0.0, 0.25, 1.0, 1.5])))
+    with pytest.raises(OutOfRange, match=r"^t = 1\.5 outside"):
+        density_path(rho, sampled, TimeGrid(np.array([0.0, 0.5, 1.0, 1.5, 1.75])))
+    assert calls == []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -566,3 +568,85 @@ def test_warped_resampling_converges_to_same_holonomy():
     v_uniform = discrete_holonomy(density_path(rho, spec, uniform)).relative_phase_factor
     v_warped = discrete_holonomy(density_path(rho, spec, warped)).relative_phase_factor
     assert op_norm(v_uniform - v_warped) < 1e-5
+
+
+# ----------------------------------------------------------------- streamed paths
+
+def _streamed_case(case, n):
+    rng = np.random.default_rng([n, len(case)])
+    H = random_hermitian(rng, 5)
+    grid = TimeGrid.uniform(1.1, n)
+    if case == "static":
+        return density_path(DensityOperator(random_density_matrix(rng, 5, rank=3)), StaticHamiltonian(H, tau=1.1), grid)
+    if case == "rotating":
+        spec = RotatingFrame(1.0)
+        return density_path(DensityOperator(random_density_matrix(rng, 4, rank=2)), spec, TimeGrid.uniform(spec.tau, n))
+    sampled = SampledUnitaries(tuple(unitary_exp(H, t) for t in grid.times), grid)
+    return density_path(DensityOperator(random_density_matrix(rng, 5, rank=3)), sampled, grid)
+
+
+@pytest.mark.parametrize("n", [1, PATH_CHUNK - 1, PATH_CHUNK, PATH_CHUNK + 1, 300])
+@pytest.mark.parametrize("case", ["static", "rotating", "sampled"])
+def test_streamed_and_stored_paths_transport_bitwise_alike(case, n):
+    streamed = _streamed_case(case, n)
+    stored = DensityPath(streamed.w, streamed.V)
+    a, b = discrete_holonomy(streamed), discrete_holonomy(stored)
+    assert a.n_steps == b.n_steps == n
+    for field in ("relative_phase_factor", "initial_amplitude", "final_amplitude", "invariant"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.max_step_parallelity_residual == b.max_step_parallelity_residual
+    (_, amps_a), (_, amps_b) = (_transport(p, DEFAULT_TOL, keep_amplitudes=True) for p in (streamed, stored))
+    assert np.array_equal(np.array(amps_a), np.array(amps_b))
+
+
+def test_orthogonal_step_is_named_alike_on_streamed_and_stored_paths():
+    # |0> stays put for k + 1 samples, then is flipped to |1>: step k is orthogonal.
+    k = PATH_CHUNK + 3
+    grid = TimeGrid.uniform(1.0, k + 20)
+    flip = SIGMA_X.astype(complex)
+    spec = SampledUnitaries((np.eye(2),) * (k + 1) + (flip,) * 20, grid)
+    streamed = density_path(DensityOperator.pure(np.array([1.0, 0.0])), spec, grid)
+    for path in (streamed, DensityPath(streamed.w, streamed.V)):
+        with pytest.raises(OrthogonalStep, match=f"between steps {k} and {k + 1}$"):
+            discrete_holonomy(path)
+
+
+@pytest.mark.parametrize("n", [50, PATH_CHUNK - 1, PATH_CHUNK, PATH_CHUNK + 1, 300])
+def test_each_grid_time_and_step_is_evaluated_once(monkeypatch, n):
+    # n + 1 unitaries and n residuals per transported path, as the benchmark's
+    # traced replay counts them: a frame read twice at a chunk boundary fails here.
+    from holonomy_lab import evolution, transport
+    from holonomy_lab.offdiag import sequence_invariants
+    from holonomy_lab.scenarios import BELL_INVARIANTS, bell_paths
+
+    counts = {"unitary_at": 0, "parallelity_residual": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(evolution, "unitary_at", counted("unitary_at", unitary_at))
+    monkeypatch.setattr(transport, "parallelity_residual", counted("parallelity_residual", parallelity_residual))
+    states, spec, grid = bell_paths(BellScenario(epsilon=0.5, n_steps=n))
+    sequence_invariants(states, spec, grid, BELL_INVARIANTS)
+    assert counts == {"unitary_at": 2 * (n + 1), "parallelity_residual": 2 * n}
+
+
+def test_transport_memory_does_not_grow_with_the_path():
+    # A stored d = 16 path holds 4 KiB of frames per state; a streamed one
+    # holds a few chunks, whatever n.
+    rng = np.random.default_rng(3)
+    rho = DensityOperator(random_density_matrix(rng, 16, rank=8))
+    spec = StaticHamiltonian(random_hermitian(rng, 16), tau=1.0)
+    peaks = []
+    for n in (2000, 20000):
+        tracemalloc.start()
+        try:
+            discrete_holonomy(density_path(rho, spec, TimeGrid.uniform(1.0, n)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
