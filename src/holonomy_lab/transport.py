@@ -15,7 +15,7 @@ nonzero singular values, and its polar isometry P_k gives the phase
 factor E_n P_{n-1} ... P_0 diag(d0) E_0^dag, with d0 the kept support of
 rho(0). Step SVDs, the frame product and the parallelity residuals are
 r x r; d x d matrices appear only at the ends of the path and in the
-amplitudes ``solve_ancilla_gauge`` reads.
+gauge samples ``solve_ancilla_gauge`` reads off the frame products.
 
 The frames are read through ``DensityPath.frames`` one chunk of
 ``PATH_CHUNK`` steps at a time, each exactly once, and every stack of a
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarse, OrthogonalStep
+from .errors import DimensionMismatch, GridTooCoarse, OrthogonalStep
 from .evolution import EvolutionSpec, TimeGrid, density_path, unitary_at
 from .linalg import (
     DEFAULT_TOL,
@@ -39,9 +39,8 @@ from .linalg import (
     eigh_root,
     first_norm_above,
     kept_directions,
-    support_power,
 )
-from .state import PATH_CHUNK, DensityOperator, DensityPath, chunk_slices, parallelity_residual
+from .state import DensityOperator, DensityPath, chunk_slices, parallelity_residual
 
 __all__ = [
     "TransportResult",
@@ -121,7 +120,12 @@ def _step_isometries(G, sk, tol, start):
     return X @ Yh
 
 
-def _transport(path, tol, keep_amplitudes):
+def _frame_products(path, tol):
+    """The transport's one pass over ``path``: the set-up E0, w0, d0 and a generator of chunks.
+
+    Each chunk of steps k, in order, yields its last frame, the roots sk of its states, the overlaps
+    G = E_{k+1}^dag E_k and the products Qs = Q_{k+1} = P_k ... P_0, which the caller may overwrite.
+    """
     if not isinstance(path, DensityPath):
         raise TypeError(
             f"expected a DensityPath, got {type(path).__name__}; "
@@ -129,7 +133,8 @@ def _transport(path, tol, keep_amplitudes):
         )
     if len(path) < 2:
         raise ValueError("a path needs at least two states")
-    n = len(path) - 1
+    if not 0.0 < tol < 1.0:  # also rejects nan, which would cut every direction
+        raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol!r}")
     # Eigenvalues outside kept_directions at DEFAULT_TOL count as zero: they
     # are round-off within the input slack of validate_density, and their
     # square roots (about 3e-9 for 1e-17) would enter the transport. The
@@ -138,72 +143,65 @@ def _transport(path, tol, keep_amplitudes):
     kept = kept_directions(path.w, DEFAULT_TOL)
     cols = np.flatnonzero(kept.any(axis=0))
     w0 = np.where(kept[0], path.w[0], 0.0)[cols]
-    E = path.frames(0, 1)[..., cols]
-    E0 = E[0]
-    initial = eigh_root(w0, E0)
+    E0 = path.frames(0, 1)[0][:, cols]
     # Every rank decision of the transport is made at the caller's tol; d0
     # restricts the frames to the kept support of rho(0).
     d0 = kept_directions(path.w[0], tol)[cols]
-    # Amplitude k is E_k B_k E_0^dag with B_k = diag(s_k) Q_k diag(d0), where
-    # Q_k = P_{k-1} ... P_0 is the product of the r x r step isometries.
-    Q = np.eye(cols.size, dtype=complex)
-    B = np.diag(np.sqrt(w0) * d0).astype(complex)
-    amps = [E0 @ B @ dagger(E0)] if keep_amplitudes else None
-    max_residual = 0.0
 
-    for start in range(0, n, PATH_CHUNK):
-        stop = min(start + PATH_CHUNK, n)
-        # Eigenframes of states start..stop; step k maps state k to state k+1.
-        # Frame start is the previous chunk's last, so each frame is read once.
-        E = np.concatenate([E[-1:], path.frames(start + 1, stop + 1)[..., cols]])
-        sk = np.sqrt(np.where(kept[start : stop + 1], path.w[start : stop + 1], 0.0)[:, cols])
-        G = dagger(E[1:]) @ E[:-1]
-        # Free the chunk's frames as soon as they are used, keeping the last
-        # one and, for the amplitudes, the rest; the stacks below go the same
-        # way, which bounds the transport's memory by a few chunks.
-        E = E[1:] if keep_amplitudes else E[-1:].copy()
-        # The step isometries P_k of the A_k, overwritten in place by
-        # Q_{k+1} = P_k Q_k and then by B_{k+1}.
-        Bs = _step_isometries(G, sk, tol, start)
-        for j in range(len(Bs)):
-            Q = Bs[j] = Bs[j] @ Q
-        Bs *= sk[1:, :, None]
-        Bs *= d0
-        # B_k^dag G_k^dag B_{k+1} is W_k^dag W_{k+1} in the coordinates of E_0,
-        # so the residual is that of the amplitudes this route produces.
-        overlaps = dagger(G) @ Bs
-        del G
-        # One residual call per step: holobench's traced replay pins this count (ROADMAP item 1).
-        for j in range(len(Bs)):
-            max_residual = max(max_residual, parallelity_residual(B, overlaps[j]))
-            B = Bs[j]
-        del overlaps
-        if keep_amplitudes:
-            amps.extend(E @ Bs @ dagger(E0))
-        B = B.copy()
-        del Bs
-    E = E[-1]
-    final = E @ B @ dagger(E0)
-    result = TransportResult(
-        relative_phase_factor=E @ (Q * d0) @ dagger(E0),
-        initial_amplitude=initial,
-        final_amplitude=final,
-        invariant=final @ dagger(initial),
-        max_step_parallelity_residual=max_residual,
-        n_steps=n,
-    )
-    return (result, amps) if keep_amplitudes else result
+    def chunks():
+        E, Q = E0, np.eye(cols.size, dtype=complex)
+        for k in chunk_slices(0, len(path) - 1):
+            # Frames of states start..stop; frame start is the previous chunk's last, so each is read once.
+            frames = np.concatenate([E[None], path.frames(k.start + 1, k.stop + 1)[..., cols]])
+            sk = np.sqrt(np.where(kept[k.start : k.stop + 1], path.w[k.start : k.stop + 1], 0.0)[:, cols])
+            G = dagger(frames[1:]) @ frames[:-1]
+            E = frames[-1].copy()
+            del frames
+            # The step isometries P_k, overwritten in place by Q_{k+1} = P_k Q_k; Q is a separate array.
+            Qs = _step_isometries(G, sk, tol, k.start)
+            for j in range(len(Qs)):
+                Q = Qs[j] = Qs[j] @ Q
+            yield E, sk, G, Qs
+            del sk, G, Qs  # as the caller does: the pass holds a few chunks at most
+
+    return E0, w0, d0, chunks()
 
 
 def discrete_holonomy(path: DensityPath, tol: float = DEFAULT_TOL) -> TransportResult:
     """Transport the standard purification of the first state along the whole path.
 
-    ``path`` is a ``DensityPath``, stored or streamed; anything else raises
-    TypeError. The frames are read once each, a chunk at a time. Raises
-    OrthogonalStep when a consecutive pair has transition probability
-    below tol (the holonomy is undefined along such paths).
+    ``path`` is a ``DensityPath``, stored or streamed, else TypeError, and
+    0 < tol < 1, else ValueError. The frames are read once each, a chunk at
+    a time. Raises OrthogonalStep when a consecutive pair has transition
+    probability below tol (the holonomy is undefined along such paths).
     """
-    return _transport(path, tol, keep_amplitudes=False)
+    E0, w0, d0, chunks = _frame_products(path, tol)
+    initial = eigh_root(w0, E0)
+    # Amplitude k is E_k B_k E_0^dag with B_k = diag(s_k) Q_k diag(d0).
+    B = np.diag(np.sqrt(w0) * d0).astype(complex)
+    max_residual = 0.0
+    for E, sk, G, Bs in chunks:
+        phase = Bs[-1] * d0
+        Bs *= sk[1:, :, None]
+        Bs *= d0
+        # B_k^dag G_k^dag B_{k+1} is W_k^dag W_{k+1} in the coordinates of E_0,
+        # so the residual is that of the amplitudes this route produces.
+        overlaps = dagger(G) @ Bs
+        # One residual call per step: holobench's traced replay pins this count (ROADMAP item 1).
+        for j in range(len(Bs)):
+            max_residual = max(max_residual, parallelity_residual(B, overlaps[j]))
+            B = Bs[j]
+        B = B.copy()
+        del sk, G, Bs, overlaps
+    final = E @ B @ dagger(E0)
+    return TransportResult(
+        relative_phase_factor=E @ phase @ dagger(E0),
+        initial_amplitude=initial,
+        final_amplitude=final,
+        invariant=final @ dagger(initial),
+        max_step_parallelity_residual=max_residual,
+        n_steps=len(path) - 1,
+    )
 
 
 def _derivatives(samples: np.ndarray, dt: float) -> np.ndarray:
@@ -224,6 +222,8 @@ def _uniform_dt(grid: TimeGrid) -> float:
 
 def _differentiated_samples(spec: EvolutionSpec, gauge: AncillaGauge):
     """U(t_k) and B(t_k) on the gauge grid, each with its time derivative."""
+    if gauge.samples.shape[-1] != spec.dim:
+        raise DimensionMismatch(f"gauge dim {gauge.samples.shape[-1]} vs evolution dim {spec.dim}")
     if gauge.grid.times.size < 3:
         raise GridTooCoarse("need at least three grid points for central differences")
     dt = _uniform_dt(gauge.grid)
@@ -241,6 +241,8 @@ def transport_equation_residual(
     with finite-difference derivatives; the max runs over interior grid
     points. A small value certifies that the gauge makes the lift parallel.
     """
+    if rho0.dim != spec.dim:
+        raise DimensionMismatch(f"state dim {rho0.dim} vs evolution dim {spec.dim}")
     us, du, bs, db = _differentiated_samples(spec, gauge)
     R = rho0.sqrt
     rho = rho0.matrix
@@ -257,9 +259,12 @@ def pure_parallelity_residual(spec: EvolutionSpec, gauge: AncillaGauge, psi, phi
 
     Max over the grid of |<psi|U^dag dU/dt|psi> - <phi|B^dag dB/dt|phi>|.
     """
-    us, du, bs, db = _differentiated_samples(spec, gauge)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     phi = np.asarray(phi, dtype=complex).reshape(-1)
+    for name, v in (("psi", psi), ("phi", phi)):
+        if v.size != spec.dim:
+            raise DimensionMismatch(f"{name} dim {v.size} vs evolution dim {spec.dim}")
+    us, du, bs, db = _differentiated_samples(spec, gauge)
     worst = 0.0
     for k in chunk_slices(0, len(us)):
         a = psi.conj() @ (dagger(us[k]) @ du[k]) @ psi
@@ -277,15 +282,18 @@ def solve_ancilla_gauge(
     """Recover B(t_k) such that U(t_k) rho0^{1/2} B(t_k) is the parallel lift.
 
     B(t_k) = rho0^{-1/2} U^dag(t_k) W(t_k) on the support of rho0 (zero
-    off-support), snapped to the nearest partial isometry. For
+    off-support), snapped to the nearest partial isometry. On the orbit
+    the frames are E_k = U(t_k) E_0, so that product is
+    E_0 diag(d0) Q_k diag(d0) E_0^dag with the transport's own frame
+    products Q_k, and the snap is taken on the r x r middle factor. For
     rank-deficient rho0 the off-support block is undetermined; the gauge
     is flagged rather than rejected.
     """
-    path = density_path(rho0, spec, grid)
-    _, amps = _transport(path, tol, keep_amplitudes=True)
-    pinv_root = support_power(rho0.eigenvalues, rho0.eigenvectors, -0.5, tol)
-    U, s, Vh = np.linalg.svd(pinv_root @ dagger(unitary_at(spec, grid.times)) @ np.array(amps))
-    # The polar isometry of each B, as in polar_isometry.
-    samples = (U * kept_directions(s, tol)[:, None, :]) @ Vh
-    deficient = rho0.rank(tol) < rho0.dim
-    return AncillaGauge(samples=samples, grid=grid, rank_deficient=deficient)
+    E0, _, d0, chunks = _frame_products(density_path(rho0, spec, grid), tol)
+    samples = np.empty((grid.times.size, rho0.dim, rho0.dim), dtype=complex)
+    samples[0] = (E0 * d0) @ dagger(E0)
+    for k, (*_, Qs) in zip(chunk_slices(1, grid.times.size), chunks):
+        X, s, Yh = np.linalg.svd(d0[:, None] * Qs * d0)
+        # The polar isometry of each product, as in polar_isometry.
+        samples[k] = E0 @ ((X * kept_directions(s, tol)[:, None, :]) @ Yh) @ dagger(E0)
+    return AncillaGauge(samples=samples, grid=grid, rank_deficient=rho0.rank(tol) < rho0.dim)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holonomy_lab.errors import GridTooCoarse, OrthogonalStep
+from holonomy_lab.errors import DimensionMismatch, GridTooCoarse, OrthogonalStep
 from holonomy_lab.evolution import (
     SIGMA_X,
     SIGMA_Y,
@@ -15,17 +15,29 @@ from holonomy_lab.evolution import (
     density_path,
     unitary_at,
 )
-from holonomy_lab.linalg import DEFAULT_TOL, dagger, hermitian_sqrt, is_partial_isometry, op_norm, unitary_exp
+from holonomy_lab.linalg import (
+    DEFAULT_TOL,
+    dagger,
+    hermitian_sqrt,
+    is_partial_isometry,
+    kept_directions,
+    op_norm,
+    polar_isometry,
+    unitary_exp,
+)
+from holonomy_lab.offdiag import sequence_invariants
 from holonomy_lab.scenarios import (
+    BELL_INVARIANTS,
     BellScenario,
     bell_mixture,
+    bell_paths,
     closed_form_B_r1,
     evolution_spec,
 )
 from holonomy_lab.state import PATH_CHUNK, DensityOperator, DensityPath, parallelity_residual
 from holonomy_lab.transport import (
     AncillaGauge,
-    _transport,
+    _frame_products,
     discrete_holonomy,
     pure_parallelity_residual,
     solve_ancilla_gauge,
@@ -251,14 +263,18 @@ def test_transport_matches_root_product_on_unsorted_spectra():
     assert op_norm(discrete_holonomy(shuffled).invariant - ordered.invariant) < 1e-12
 
 
-def test_transport_matches_root_product_at_a_loose_tol():
+def _loose_tol_orbit(n):
     # The smallest eigenvalue is kept at DEFAULT_TOL and cut at tol = 1e-3.
     rng = np.random.default_rng(9)
     V = random_unitary(rng, 3)
     rho = DensityOperator(V @ np.diag([0.6, 0.3998, 2e-4]) @ dagger(V))
     assert rho.rank() == 3 and rho.rank(1e-3) == 2
-    spec = StaticHamiltonian(random_hermitian(rng, 3), tau=0.8)
-    path = density_path(rho, spec, TimeGrid.uniform(0.8, 12))
+    return rho, StaticHamiltonian(random_hermitian(rng, 3), tau=0.8), TimeGrid.uniform(0.8, n)
+
+
+def test_transport_matches_root_product_at_a_loose_tol():
+    rho, spec, grid = _loose_tol_orbit(12)
+    path = density_path(rho, spec, grid)
     _assert_matches_root_product(path, tol=1e-3)
     assert op_norm(discrete_holonomy(path, 1e-3).invariant - discrete_holonomy(path).invariant) > 1e-6
 
@@ -278,15 +294,39 @@ def test_orthogonal_step_is_named_as_in_the_root_product():
         discrete_holonomy(jumped)
 
 
+def _pass_amplitudes(path):
+    """The amplitudes E_k diag(s_k) Q_k diag(d0) E_0^dag, from the stored frames and the pass's products."""
+    E0, _, d0, chunks = _frame_products(path, DEFAULT_TOL)
+    kept = kept_directions(path.w, DEFAULT_TOL)
+    cols = np.flatnonzero(kept.any(axis=0))
+    s = np.sqrt(np.where(kept, path.w, 0.0)[:, cols])
+    Qs = np.concatenate([np.eye(cols.size)[None]] + [Qs for *_, Qs in chunks])
+    return path.V[..., cols] @ (s[:, :, None] * Qs * d0) @ dagger(E0)
+
+
 @pytest.mark.parametrize("dim, rank", [(4, 2), (5, 5)])
 def test_residual_is_that_of_the_amplitudes(dim, rank):
     path = _random_orbit(np.random.default_rng([dim, rank, 1]), dim, rank, n=PATH_CHUNK + 4)
-    res, amps = _transport(path, DEFAULT_TOL, keep_amplitudes=True)
+    res = discrete_holonomy(path)
+    amps = _pass_amplitudes(path)
     assert len(amps) == len(path)
     worst = max(parallelity_residual(a, b) for a, b in zip(amps, amps[1:]))
     assert res.max_step_parallelity_residual > 0.0
     assert abs(res.max_step_parallelity_residual - worst) < 1e-14
     assert op_norm(amps[-1] - res.final_amplitude) < 1e-14
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, 1.0, -1.0])
+def test_tol_outside_the_unit_interval_is_rejected(tol):
+    # A nan tol would cut every direction and give a zero invariant without an error.
+    s = BellScenario(epsilon=0.5, n_steps=10)
+    states, spec, grid = bell_paths(s)
+    with pytest.raises(ValueError, match="^tol must satisfy 0 < tol < 1, got"):
+        discrete_holonomy(density_path(states[0], spec, grid), tol)
+    with pytest.raises(ValueError, match="^tol must satisfy 0 < tol < 1, got"):
+        solve_ancilla_gauge(spec, states[0], grid, tol)
+    with pytest.raises(ValueError, match="^tol must satisfy 0 < tol < 1, got"):
+        sequence_invariants(states, spec, grid, BELL_INVARIANTS, tol)
 
 
 def test_density_path_indexing():
@@ -527,6 +567,61 @@ def test_gauge_recovery_from_sampled_unitaries():
         assert op_norm(B - rho.support) < 1e-6
 
 
+@pytest.mark.parametrize("case", ["static", "rotating", "sampled", "loose"])
+def test_gauge_matches_the_polar_snap_of_the_root_product(case):
+    # Independent of the frame products: B(t_k) = polar(rho0^{-1/2} U(t_k)^dag W_k)
+    # with the d x d amplitudes W_k of the reference transporter.
+    if case == "loose":
+        rho, spec, grid = _loose_tol_orbit(PATH_CHUNK + 9)
+        tol = 1e-3
+    else:
+        m, spec, grid = _orbit_cases()[case]
+        rho, tol = DensityOperator(m), DEFAULT_TOL
+    assert grid.n_steps == PATH_CHUNK + 9
+    w, V = np.linalg.eigh(rho.matrix)
+    keep = w > tol * w.max()
+    pinv_root = V[:, keep] @ np.diag(w[keep] ** -0.5) @ dagger(V[:, keep])
+    _, _, amps = _root_product(density_path(rho, spec, grid), tol)
+    us = unitary_at(spec, grid.times)
+    gauge = solve_ancilla_gauge(spec, rho, grid, tol)
+    worst = max(op_norm(B - polar_isometry(pinv_root @ dagger(U) @ W, tol)) for B, U, W in zip(gauge.samples, us, amps))
+    assert worst < 1e-12
+
+
+def test_gauge_memory_is_a_few_times_its_samples():
+    # The gauge is read off the r x r frame products a chunk at a time; the
+    # (n+1, d, d) samples and the partial-isometry check on them dominate.
+    rng = np.random.default_rng(3)
+    rho = DensityOperator(random_density_matrix(rng, 16, rank=8))
+    spec = StaticHamiltonian(random_hermitian(rng, 16), tau=1.0)
+    tracemalloc.start()
+    try:
+        gauge = solve_ancilla_gauge(spec, rho, TimeGrid.uniform(1.0, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * gauge.samples.nbytes, peak / gauge.samples.nbytes
+
+
+def test_residuals_name_a_dimension_mismatch():
+    s = BellScenario(epsilon=0.5, variant="rotating", u=1.0)
+    spec = evolution_spec(s)
+    grid = TimeGrid.uniform(s.tau, 20)
+    small = AncillaGauge(samples=(np.eye(2),) * len(grid.times), grid=grid)
+    gauge = AncillaGauge(samples=closed_form_B_r1(s, grid.times), grid=grid)
+    rho = bell_mixture(0.5)
+    with pytest.raises(DimensionMismatch, match="^gauge dim 2 vs evolution dim 4$"):
+        transport_equation_residual(spec, small, rho)
+    with pytest.raises(DimensionMismatch, match="^gauge dim 2 vs evolution dim 4$"):
+        pure_parallelity_residual(spec, small, PSI_MINUS, PSI_MINUS)
+    with pytest.raises(DimensionMismatch, match="^state dim 2 vs evolution dim 4$"):
+        transport_equation_residual(spec, gauge, DensityOperator.maximally_mixed(2))
+    with pytest.raises(DimensionMismatch, match="^psi dim 2 vs evolution dim 4$"):
+        pure_parallelity_residual(spec, gauge, np.array([1.0, 0.0]), PSI_MINUS)
+    with pytest.raises(DimensionMismatch, match="^phi dim 3 vs evolution dim 4$"):
+        pure_parallelity_residual(spec, gauge, PSI_MINUS, np.ones(3))
+
+
 def test_residual_requires_uniform_grid():
     s = BellScenario(epsilon=0.5, variant="static")
     spec = evolution_spec(s)
@@ -595,8 +690,14 @@ def test_streamed_and_stored_paths_transport_bitwise_alike(case, n):
     for field in ("relative_phase_factor", "initial_amplitude", "final_amplitude", "invariant"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     assert a.max_step_parallelity_residual == b.max_step_parallelity_residual
-    (_, amps_a), (_, amps_b) = (_transport(p, DEFAULT_TOL, keep_amplitudes=True) for p in (streamed, stored))
-    assert np.array_equal(np.array(amps_a), np.array(amps_b))
+    # Every set-up array and every chunk's yields: last frame, roots, overlaps, products.
+    arrays_a, arrays_b = (
+        [*setup, *(v for chunk in chunks for v in chunk)]
+        for *setup, chunks in (_frame_products(p, DEFAULT_TOL) for p in (streamed, stored))
+    )
+    assert len(arrays_a) == len(arrays_b)
+    for x, y in zip(arrays_a, arrays_b):
+        assert np.array_equal(x, y)
 
 
 def test_orthogonal_step_is_named_alike_on_streamed_and_stored_paths():
@@ -616,8 +717,6 @@ def test_each_grid_time_and_step_is_evaluated_once(monkeypatch, n):
     # n + 1 unitaries and n residuals per transported path, as the benchmark's
     # traced replay counts them: a frame read twice at a chunk boundary fails here.
     from holonomy_lab import evolution, transport
-    from holonomy_lab.offdiag import sequence_invariants
-    from holonomy_lab.scenarios import BELL_INVARIANTS, bell_paths
 
     counts = {"unitary_at": 0, "parallelity_residual": 0}
 
