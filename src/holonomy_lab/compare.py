@@ -156,11 +156,10 @@ def _eigenstate_transport_residual(spec, family, grid) -> float:
             gen = dagger(U) @ rotating_generator(spec, ts[k]) @ U
             worst = max(worst, float(np.abs(np.diagonal(dagger(V) @ gen @ V, axis1=-2, axis2=-1)).max()))
         return worst
-    us = unitary_at(spec, ts)
     for k in chunk_slices(1, ts.size - 1):
-        after = slice(k.start + 1, k.stop + 1)
-        before = slice(k.start - 1, k.stop - 1)
-        gen = dagger(us[k]) @ ((us[after] - us[before]) / (ts[after] - ts[before])[:, None, None])
+        t = ts[k.start - 1 : k.stop + 1]  # the chunk's times and a neighbour either side
+        us = unitary_at(spec, t)
+        gen = dagger(us[1:-1]) @ ((us[2:] - us[:-2]) / (t[2:] - t[:-2])[:, None, None])
         worst = max(worst, float(np.abs(np.diagonal(dagger(V) @ gen @ V, axis1=-2, axis2=-1)).max()))
     return worst
 

@@ -102,6 +102,8 @@ def kept_directions(values: np.ndarray, tol: float) -> np.ndarray:
     ``values`` are non-negative eigenvalues or singular values, one
     spectrum or a stack along the last axis; a zero matrix keeps nothing.
     """
+    if not 0.0 < tol < 1.0:  # also rejects nan, which would cut every direction
+        raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol!r}")
     return values > tol * values.max(axis=-1, keepdims=True, initial=0.0)
 
 
@@ -197,8 +199,7 @@ def polar(X, side: str = "left", tol: float = DEFAULT_TOL) -> PolarFactors:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     U, s, Vh = np.linalg.svd(as_square_matrix(X))
-    keep = kept_directions(s, tol)
-    isometry = U[:, keep] @ Vh[keep, :]
+    isometry = (U * kept_directions(s, tol)) @ Vh
     if side == "left":
         positive = dagger(Vh) @ (s[:, None] * Vh)
     else:
@@ -208,8 +209,9 @@ def polar(X, side: str = "left", tol: float = DEFAULT_TOL) -> PolarFactors:
 
 
 def polar_isometry(X, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Just the shared partial isometry of the polar decomposition."""
-    return polar(X, side="left", tol=tol).isometry
+    """The partial isometry that ``polar`` shares between its sides, of a matrix or of each of a stack."""
+    U, s, Vh = np.linalg.svd(as_square_stack(X))
+    return (U * kept_directions(s, tol)[..., None, :]) @ Vh
 
 
 def is_partial_isometry(S, tol: float = DEFAULT_TOL) -> bool:

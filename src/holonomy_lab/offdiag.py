@@ -151,9 +151,10 @@ def holonomy_isometry(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     (X^dag X)^{1/2} and (X X^dag)^{1/2}.
     """
     op = as_square_matrix(X)
+    isometry = polar_isometry(op, tol)
     if op_norm(op) <= tol:
         raise ZeroOperator("cannot extract an isometry from a vanishing invariant")
-    return polar_isometry(op, tol)
+    return isometry
 
 
 def alternative_ordering(results) -> np.ndarray:

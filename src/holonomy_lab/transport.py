@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridTooCoarse, OrthogonalStep
+from .errors import DimensionMismatch, GridTooCoarse, InvalidState, OrthogonalStep
 from .evolution import EvolutionSpec, TimeGrid, density_path, unitary_at
 from .linalg import (
     DEFAULT_TOL,
@@ -39,6 +39,7 @@ from .linalg import (
     eigh_root,
     first_norm_above,
     kept_directions,
+    polar_isometry,
 )
 from .state import DensityOperator, DensityPath, chunk_slices, parallelity_residual
 
@@ -92,10 +93,11 @@ class AncillaGauge:
         object.__setattr__(self, "samples", samples)
         if len(samples) != self.grid.times.size:
             raise ValueError("one gauge sample per grid time is required")
-        dim = samples.shape[-1]
-        bad = first_norm_above(samples @ dagger(samples) @ samples - samples, DEFAULT_TOL * dim)
-        if bad is not None:
-            raise ValueError(f"gauge sample {bad[0]} is not a partial isometry")
+        for k in chunk_slices(0, len(samples)):
+            S = samples[k]
+            bad = first_norm_above(S @ dagger(S) @ S - S, DEFAULT_TOL * S.shape[-1])
+            if bad is not None:
+                raise ValueError(f"gauge sample {k.start + bad[0]} is not a partial isometry")
 
 
 def _step_isometries(G, sk, tol, start):
@@ -133,8 +135,6 @@ def _frame_products(path, tol):
         )
     if len(path) < 2:
         raise ValueError("a path needs at least two states")
-    if not 0.0 < tol < 1.0:  # also rejects nan, which would cut every direction
-        raise ValueError(f"tol must satisfy 0 < tol < 1, got {tol!r}")
     # Eigenvalues outside kept_directions at DEFAULT_TOL count as zero: they
     # are round-off within the input slack of validate_density, and their
     # square roots (about 3e-9 for 1e-17) would enter the transport. The
@@ -213,23 +213,23 @@ def _derivatives(samples: np.ndarray, dt: float) -> np.ndarray:
     return d
 
 
-def _uniform_dt(grid: TimeGrid) -> float:
-    steps = np.diff(grid.times)
-    if steps.size and (steps.max() - steps.min()) > DEFAULT_TOL * steps.max():
-        raise ValueError("finite differences need a uniform grid")
-    return float(steps[0])
-
-
-def _differentiated_samples(spec: EvolutionSpec, gauge: AncillaGauge):
-    """U(t_k) and B(t_k) on the gauge grid, each with its time derivative."""
+def _differentiated_samples(spec: EvolutionSpec, gauge: AncillaGauge, start: int, stop: int):
+    """Yield U, dU/dt, B, dB/dt on grid points start..stop-1 chunk by chunk; each chunk is differentiated
+    with a neighbour either side (three points at least), so the derivatives equal the whole grid's."""
     if gauge.samples.shape[-1] != spec.dim:
         raise DimensionMismatch(f"gauge dim {gauge.samples.shape[-1]} vs evolution dim {spec.dim}")
-    if gauge.grid.times.size < 3:
+    times = gauge.grid.times
+    if times.size < 3:
         raise GridTooCoarse("need at least three grid points for central differences")
-    dt = _uniform_dt(gauge.grid)
-    us = unitary_at(spec, gauge.grid.times)
-    bs = gauge.samples
-    return us, _derivatives(us, dt), bs, _derivatives(bs, dt)
+    steps = np.diff(times)
+    if (steps.max() - steps.min()) > DEFAULT_TOL * steps.max():
+        raise ValueError("finite differences need a uniform grid")
+    dt = float(steps[0])
+    for k in chunk_slices(start, stop):
+        lo = min(max(k.start - 1, 0), times.size - 3)
+        own = slice(k.start - lo, k.stop - lo)
+        us, bs = unitary_at(spec, times[lo : k.stop + 1]), gauge.samples[lo : k.stop + 1]
+        yield us[own], _derivatives(us, dt)[own], bs[own], _derivatives(bs, dt)[own]
 
 
 def transport_equation_residual(
@@ -243,19 +243,17 @@ def transport_equation_residual(
     """
     if rho0.dim != spec.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} vs evolution dim {spec.dim}")
-    us, du, bs, db = _differentiated_samples(spec, gauge)
-    R = rho0.sqrt
-    rho = rho0.matrix
+    R, rho = rho0.sqrt, rho0.matrix
     worst = 0.0
-    for k in chunk_slices(1, len(us) - 1):
-        lhs = 2 * R @ dagger(us[k]) @ du[k] @ R
-        rhs = bs[k] @ dagger(db[k]) @ rho - rho @ db[k] @ dagger(bs[k])
+    for us, du, bs, db in _differentiated_samples(spec, gauge, 1, gauge.grid.times.size - 1):
+        lhs = 2 * R @ dagger(us) @ du @ R
+        rhs = bs @ dagger(db) @ rho - rho @ db @ dagger(bs)
         worst = max(worst, float(np.linalg.svd(lhs - rhs, compute_uv=False)[:, 0].max()))
     return worst
 
 
 def pure_parallelity_residual(spec: EvolutionSpec, gauge: AncillaGauge, psi, phi) -> float:
-    """Scalar transport-equation residual for a pure state.
+    """Scalar transport-equation residual for pure states: unit vectors psi and phi, else InvalidState.
 
     Max over the grid of |<psi|U^dag dU/dt|psi> - <phi|B^dag dB/dt|phi>|.
     """
@@ -264,11 +262,13 @@ def pure_parallelity_residual(spec: EvolutionSpec, gauge: AncillaGauge, psi, phi
     for name, v in (("psi", psi), ("phi", phi)):
         if v.size != spec.dim:
             raise DimensionMismatch(f"{name} dim {v.size} vs evolution dim {spec.dim}")
-    us, du, bs, db = _differentiated_samples(spec, gauge)
+    for name, v in (("psi", psi), ("phi", phi)):
+        if not abs(np.linalg.norm(v) - 1.0) <= DEFAULT_TOL:  # also rejects nan and inf entries
+            raise InvalidState(f"{name} must be a unit vector, got norm {np.linalg.norm(v):.3e}")
     worst = 0.0
-    for k in chunk_slices(0, len(us)):
-        a = psi.conj() @ (dagger(us[k]) @ du[k]) @ psi
-        b = phi.conj() @ (dagger(bs[k]) @ db[k]) @ phi
+    for us, du, bs, db in _differentiated_samples(spec, gauge, 0, gauge.grid.times.size):
+        a = psi.conj() @ (dagger(us) @ du) @ psi
+        b = phi.conj() @ (dagger(bs) @ db) @ phi
         worst = max(worst, float(np.abs(a - b).max()))
     return worst
 
@@ -293,7 +293,5 @@ def solve_ancilla_gauge(
     samples = np.empty((grid.times.size, rho0.dim, rho0.dim), dtype=complex)
     samples[0] = (E0 * d0) @ dagger(E0)
     for k, (*_, Qs) in zip(chunk_slices(1, grid.times.size), chunks):
-        X, s, Yh = np.linalg.svd(d0[:, None] * Qs * d0)
-        # The polar isometry of each product, as in polar_isometry.
-        samples[k] = E0 @ ((X * kept_directions(s, tol)[:, None, :]) @ Yh) @ dagger(E0)
+        samples[k] = E0 @ polar_isometry(d0[:, None] * Qs * d0, tol) @ dagger(E0)
     return AncillaGauge(samples=samples, grid=grid, rank_deficient=rho0.rank(tol) < rho0.dim)

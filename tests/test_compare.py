@@ -3,13 +3,14 @@ import pytest
 
 from holonomy_lab.compare import (
     PermutedFamily,
+    _eigenstate_transport_residual,
     discrepancy_report,
     interferometric_offdiag_phase,
     wrap_angle,
 )
 from holonomy_lab.errors import NotUnitary
 from holonomy_lab.evolution import SIGMA_Y, SampledUnitaries, StaticHamiltonian, TimeGrid
-from holonomy_lab.linalg import unitary_exp
+from holonomy_lab.linalg import dagger, unitary_exp
 from holonomy_lab.scenarios import bell_matrix
 from holonomy_lab.transport import AncillaGauge, transport_equation_residual
 
@@ -160,6 +161,25 @@ def test_eigenstate_residual_on_non_uniform_sampled_grid():
         spec = SampledUnitaries(tuple(unitary_exp(H, float(t)) for t in grid.times), grid)
         rep = discrepancy_report(spec, fam, l=2, grid=grid)
         assert rep.eigenstate_transport_residual == pytest.approx(0.3, abs=1e-4)
+
+
+@pytest.mark.parametrize("points", [129, 130, 131])
+def test_sampled_eigenstate_residual_matches_the_per_point_loop(points):
+    # Non-uniform central differences at each interior time of a random grid;
+    # the residual evaluates U on each chunk of times and its two neighbours.
+    rng = np.random.default_rng(points)
+    H = random_hermitian(rng, 4)
+    grid = TimeGrid(np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, points - 2)])))
+    spec = SampledUnitaries(tuple(unitary_exp(H, float(t)) for t in grid.times), grid)
+    V = random_unitary(rng, 4)
+    fam = PermutedFamily(np.array([0.4, 0.3, 0.2, 0.1]), V, ((0, 1, 2, 3),))
+    ts, us = grid.times, spec.unitaries
+    worst = 0.0
+    for k in range(1, points - 1):
+        gen = dagger(us[k]) @ (us[k + 1] - us[k - 1]) / (ts[k + 1] - ts[k - 1])
+        worst = max(worst, float(np.abs(np.diagonal(dagger(V) @ gen @ V)).max()))
+    assert worst > 0.1
+    assert _eigenstate_transport_residual(spec, fam, grid) == pytest.approx(worst, rel=1e-15, abs=0)
 
 
 # ------------------------------------------------------------------- wrap_angle

@@ -12,6 +12,7 @@ from holonomy_lab.linalg import (
     is_partial_isometry,
     op_norm,
     polar,
+    polar_isometry,
     support_power,
     support_projector,
     transition_probability,
@@ -166,6 +167,19 @@ def test_polar_matches_scipy_on_full_rank(rng):
     f = polar(X, "left")
     assert op_norm(f.isometry - u_scipy) < 1e-10
     assert op_norm(f.positive_part - p_scipy) < 1e-10
+
+
+def test_polar_isometry_on_a_stack_matches_each_matrix(rng):
+    # Each member keeps its own singular directions: ranks 5, 4 and 0.
+    stack = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
+    stack[1, :, 0] = 0.0
+    stack[2] = 0.0
+    isometries = polar_isometry(stack)
+    assert isometries.shape == stack.shape
+    for X, S in zip(stack, isometries):
+        assert op_norm(S - polar(X).isometry) < 1e-14
+        assert op_norm(S - polar_isometry(X)) < 1e-14
+    assert not isometries[2].any()
 
 
 # ---------------------------------------------------------- is_partial_isometry

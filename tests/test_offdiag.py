@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from holonomy_lab.compare import PermutedFamily, interferometric_offdiag_phase
 from holonomy_lab.errors import DimensionMismatch, ZeroOperator
 from holonomy_lab.evolution import StaticHamiltonian, TimeGrid, density_path
-from holonomy_lab.linalg import op_norm, unitary_exp
+from holonomy_lab.linalg import op_norm, polar_isometry, unitary_exp
 from holonomy_lab.offdiag import (
     alternative_ordering,
     holonomy_isometry,
@@ -278,3 +279,21 @@ def test_pure_state_reduction_matches_bargmann_product(rng):
         assert abs(complex(np.trace(X)) - barg) < 1e-12
         if diag.phase_defined:
             assert abs(np.angle(diag.trace / barg)) < 1e-8
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, 1.0, -1.0])
+def test_tol_outside_the_unit_interval_is_rejected_by_every_rank_decision(tol):
+    # A nan tol would cut every direction: zero isometries, rank 0, a zero overlap.
+    X = np.diag([0.9, 0.1, 0.0]).astype(complex)
+    rho = DensityOperator(np.diag([0.5, 0.3, 0.2]).astype(complex))
+    family = PermutedFamily(np.array([0.5, 0.3, 0.2]), np.eye(3, dtype=complex), ((0, 1, 2), (1, 0, 2)))
+    calls = (
+        lambda: holonomy_isometry(X, tol),
+        lambda: polar_isometry(X, tol),
+        lambda: nu_functional(np.eye(3), X, tol),
+        lambda: rho.rank(tol),
+        lambda: interferometric_offdiag_phase(np.eye(3), family, 2, tol),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^tol must satisfy 0 < tol < 1, got"):
+            call()

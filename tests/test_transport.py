@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from holonomy_lab.errors import DimensionMismatch, GridTooCoarse, OrthogonalStep
+from holonomy_lab.errors import DimensionMismatch, GridTooCoarse, InvalidState, OrthogonalStep, OutOfRange
 from holonomy_lab.evolution import (
     SIGMA_X,
     SIGMA_Y,
@@ -391,6 +391,16 @@ def test_gauge_names_the_first_sample_that_is_not_a_partial_isometry():
         AncillaGauge(samples=tuple(samples), grid=grid)
 
 
+def test_gauge_names_a_failing_sample_in_a_later_chunk():
+    # The check runs a chunk at a time; the index counts from the start of the grid.
+    grid = TimeGrid.uniform(1.0, 2 * PATH_CHUNK + 10)
+    samples = np.array([np.eye(2, dtype=complex)] * len(grid.times))
+    samples[PATH_CHUNK + 3] = 2 * np.eye(2)
+    samples[2 * PATH_CHUNK + 1] = 2 * np.eye(2)
+    with pytest.raises(ValueError, match=f"^gauge sample {PATH_CHUNK + 3} is not a partial isometry$"):
+        AncillaGauge(samples=samples, grid=grid)
+
+
 def test_gauge_check_bound_is_tol_times_dimension():
     # ||S S^dag S - S|| = 2 delta + O(delta^2) for S = (1 + delta) I; the bound is 1e-9 * 2.
     grid = TimeGrid.uniform(1.0, 1)
@@ -473,7 +483,9 @@ def _per_point_residuals(spec, s, grid, rho0, psi):
     return operator, pure
 
 
-@pytest.mark.parametrize("n", [500, PATH_CHUNK + 5])
+# n = 2 is the smallest grid; PATH_CHUNK - 1 and PATH_CHUNK fill one chunk, and the
+# others leave a last chunk of one or two points.
+@pytest.mark.parametrize("n", [500, PATH_CHUNK + 5, 2, PATH_CHUNK - 1, PATH_CHUNK, PATH_CHUNK + 1, 2 * PATH_CHUNK])
 def test_batched_residuals_match_the_per_point_loop(n):
     s = BellScenario(epsilon=0.5, variant="rotating", u=1.0)
     spec = evolution_spec(s)
@@ -485,6 +497,42 @@ def test_batched_residuals_match_the_per_point_loop(n):
     assert operator > 1e-6 and pure > 1e-6
     assert transport_equation_residual(spec, gauge, rho) == pytest.approx(operator, rel=1e-15, abs=0)
     assert pure_parallelity_residual(spec, gauge, psi, psi) == pytest.approx(pure, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("n", [20, 2 * PATH_CHUNK + 10])
+def test_residuals_name_the_first_time_past_tau(n):
+    # The gauge grid runs to 2 tau; at n = 2 PATH_CHUNK + 10 its first time past tau
+    # lies in the second chunk of either residual.
+    spec = StaticHamiltonian(SIGMA_Z.astype(complex), tau=1.0)
+    grid = TimeGrid.uniform(2.0, n)
+    gauge = AncillaGauge(samples=(np.eye(2, dtype=complex),) * len(grid.times), grid=grid)
+    first = float(grid.times[grid.times > 1.0 + 1e-6][0])
+    match = f"^t = {first!r} outside \\[0, 1.0\\]$"
+    with pytest.raises(OutOfRange, match=match):
+        transport_equation_residual(spec, gauge, DensityOperator.maximally_mixed(2))
+    with pytest.raises(OutOfRange, match=match):
+        pure_parallelity_residual(spec, gauge, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
+
+def test_residual_memory_is_below_the_gauge_samples():
+    # Each residual evaluates U and the derivatives one chunk of the grid at a time.
+    rng = np.random.default_rng(3)
+    rho = DensityOperator(random_density_matrix(rng, 16, rank=8))
+    spec = StaticHamiltonian(random_hermitian(rng, 16), tau=1.0)
+    gauge = solve_ancilla_gauge(spec, rho, TimeGrid.uniform(1.0, 2000))
+    psi = rho.eigenvectors[:, -1]
+    residuals = (
+        lambda: transport_equation_residual(spec, gauge, rho),
+        lambda: pure_parallelity_residual(spec, gauge, psi, psi),
+    )
+    for residual in residuals:
+        tracemalloc.start()
+        try:
+            residual()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= gauge.samples.nbytes, peak / gauge.samples.nbytes
 
 
 # --------------------------------------------------- pure_parallelity_residual
@@ -518,6 +566,18 @@ def test_pure_residual_detects_dynamical_phase():
     psi = np.array([1.0, 0.0])
     # <0|U^dag dU/dt|0> = -i, B contributes nothing: residual |-i| = 1.
     assert pure_parallelity_residual(spec, gauge, psi, psi) == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("bad", [np.array([np.nan, 0.0]), np.zeros(2), np.array([3.0, 0.0])])
+def test_pure_residual_rejects_a_vector_that_is_not_a_unit_vector(bad):
+    spec = StaticHamiltonian(SIGMA_Z.astype(complex), tau=1.0)
+    grid = TimeGrid.uniform(1.0, 20)
+    gauge = AncillaGauge(samples=(np.eye(2, dtype=complex),) * len(grid.times), grid=grid)
+    psi = np.array([1.0, 0.0])
+    with pytest.raises(InvalidState, match="^psi must be a unit vector, got norm "):
+        pure_parallelity_residual(spec, gauge, bad, psi)
+    with pytest.raises(InvalidState, match="^phi must be a unit vector, got norm "):
+        pure_parallelity_residual(spec, gauge, psi, bad)
 
 
 # ------------------------------------------------------------ solve_ancilla_gauge
@@ -589,8 +649,8 @@ def test_gauge_matches_the_polar_snap_of_the_root_product(case):
 
 
 def test_gauge_memory_is_a_few_times_its_samples():
-    # The gauge is read off the r x r frame products a chunk at a time; the
-    # (n+1, d, d) samples and the partial-isometry check on them dominate.
+    # The gauge is read off the r x r frame products, and its partial-isometry
+    # check runs, a chunk at a time, so the (n+1, d, d) samples dominate.
     rng = np.random.default_rng(3)
     rho = DensityOperator(random_density_matrix(rng, 16, rank=8))
     spec = StaticHamiltonian(random_hermitian(rng, 16), tau=1.0)
@@ -600,7 +660,7 @@ def test_gauge_memory_is_a_few_times_its_samples():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * gauge.samples.nbytes, peak / gauge.samples.nbytes
+    assert peak <= 1.5 * gauge.samples.nbytes, peak / gauge.samples.nbytes
 
 
 def test_residuals_name_a_dimension_mismatch():
