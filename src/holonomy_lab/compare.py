@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotUnitary
-from .linalg import DEFAULT_TOL, as_square_matrix, dagger, first_norm_above, is_orthonormal, kept_directions, support_power
+from .linalg import DEFAULT_TOL, as_square_matrix, dagger, first_non_isometry, is_orthonormal, kept_directions, support_power
 from .evolution import EvolutionSpec, RotatingFrame, StaticHamiltonian, TimeGrid, rotating_generator, unitary_at
 from .offdiag import nu_functional, off_diagonal_invariant, phase_factor, principal_angle, sequence_invariants
 from .state import DensityOperator, chunk_slices
@@ -109,7 +109,7 @@ def interferometric_offdiag_phase(
     using a unitary that parallel-transports each common eigenstate.
     """
     U = as_square_matrix(U_final)
-    if first_norm_above(dagger(U) @ U - np.eye(U.shape[0]), DEFAULT_TOL * U.shape[0]) is not None:
+    if first_non_isometry(U, DEFAULT_TOL * U.shape[0]) is not None:
         raise NotUnitary("evolution operator is not unitary within tolerance")
     if l < 1 or l > len(family):
         raise ValueError(f"order l = {l} needs {l} family members, have {len(family)}")

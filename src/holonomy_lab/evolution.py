@@ -7,7 +7,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, GridMiss, NotUnitary, OutOfRange
-from .linalg import DEFAULT_TOL, as_square_matrix, dagger, eigh_exp, first_norm_above, hermitian_eigh
+from .linalg import (
+    DEFAULT_TOL,
+    as_square_matrix,
+    dagger,
+    eigh_exp,
+    first_non_isometry,
+    first_norm_above,
+    first_skew_above,
+    hermitian_eigh,
+)
 from .state import DensityOperator, DensityPath
 
 __all__ = [
@@ -84,7 +93,7 @@ class StaticHamiltonian:
         if not self.tau > 0:  # also rejects nan
             raise ValueError(f"tau must be positive, got {self.tau!r}")
         H = as_square_matrix(self.hamiltonian)
-        if first_norm_above(H - dagger(H), DEFAULT_TOL) is not None:
+        if first_skew_above(H, DEFAULT_TOL) is not None:
             raise ValueError("static Hamiltonian must be Hermitian")
         object.__setattr__(self, "hamiltonian", H)
         object.__setattr__(self, "_eigh", hermitian_eigh(H))
@@ -143,13 +152,12 @@ class SampledUnitaries:
         if len(us) != self.grid.times.size:
             raise ValueError("one unitary per grid time is required")
         dim = us[0].shape[0]
-        eye = np.eye(dim)
-        if first_norm_above(us[0] - eye, DEFAULT_TOL * dim) is not None:
+        if first_norm_above(us[0] - np.eye(dim), DEFAULT_TOL * dim) is not None:
             raise NotUnitary("the first sampled unitary must be the identity")
         if any(U.shape[0] != dim for U in us):
             raise DimensionMismatch("sampled unitaries differ in dimension")
         stack = np.stack(us)
-        bad = first_norm_above(dagger(stack) @ stack - eye, DEFAULT_TOL * dim)
+        bad = first_non_isometry(stack, DEFAULT_TOL * dim)
         if bad is not None:
             raise NotUnitary(f"sample {bad[0]} is not unitary within tolerance")
         object.__setattr__(self, "unitaries", stack)

@@ -23,7 +23,10 @@ __all__ = [
     "dagger",
     "op_norm",
     "first_norm_above",
+    "first_skew_above",
+    "first_non_isometry",
     "kept_directions",
+    "hermitian_part",
     "hermitian_eigh",
     "hermitian_sqrt",
     "eigh_root",
@@ -32,6 +35,7 @@ __all__ = [
     "support_projector",
     "polar",
     "polar_isometry",
+    "svd_isometry",
     "is_partial_isometry",
     "is_orthonormal",
     "unitary_exp",
@@ -83,17 +87,39 @@ def first_norm_above(M: np.ndarray, bound: float):
     The Frobenius norm bounds the spectral norm from above, so only the
     members whose Frobenius norm exceeds the bound (with a relative slack
     of 1e-8, far above the round-off of either norm) get an SVD; the
-    decision, the member and the norm are the SVD's.
+    decision, the member and the norm are the SVD's. A member with a nan
+    or infinite entry is above every bound, with its Frobenius norm (nan
+    or inf) as its norm.
     """
     stack = M if M.ndim == 3 else M[None]
-    candidates = np.flatnonzero(np.linalg.norm(stack, axis=(-2, -1)) * (1 + 1e-8) > bound)
+    # Squares of entries near the float limit overflow to inf, which is a norm above the bound.
+    with np.errstate(over="ignore", invalid="ignore"):
+        frobenius = np.linalg.norm(stack, axis=(-2, -1))
+        candidates = np.flatnonzero(~(frobenius * (1 + 1e-8) <= bound))  # nan counts as above
     if candidates.size == 0:
         return None
-    norms = np.linalg.svd(stack[candidates], compute_uv=False)[:, 0]
-    over = np.flatnonzero(norms > bound)
+    members = stack[candidates]
+    finite = np.isfinite(members).all(axis=(-2, -1))
+    norms = frobenius[candidates]
+    norms[finite] = np.linalg.svd(members[finite], compute_uv=False)[:, 0]
+    over = np.flatnonzero(~(norms <= bound))
     if over.size == 0:
         return None
     return int(candidates[over[0]]), float(norms[over[0]])
+
+
+def first_skew_above(M: np.ndarray, bound: float):
+    """``first_norm_above`` of M - M^dag: the first member of a stack that is not Hermitian within bound."""
+    with np.errstate(over="ignore"):  # a difference beyond the float range is inf, above the bound
+        skew = M - dagger(M)
+    return first_norm_above(skew, bound)
+
+
+def first_non_isometry(V: np.ndarray, bound: float):
+    """``first_norm_above`` of V^dag V - 1: the first member of a stack whose columns are not orthonormal."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product is inf or nan, above the bound
+        defect = dagger(V) @ V - np.eye(V.shape[-1])
+    return first_norm_above(defect, bound)
 
 
 def kept_directions(values: np.ndarray, tol: float) -> np.ndarray:
@@ -107,9 +133,14 @@ def kept_directions(values: np.ndarray, tol: float) -> np.ndarray:
     return values > tol * values.max(axis=-1, keepdims=True, initial=0.0)
 
 
+def hermitian_part(M: np.ndarray) -> np.ndarray:
+    """(M + M^dag) / 2, summed after halving so that entries near the float limit do not overflow."""
+    return M / 2 + dagger(M) / 2
+
+
 def hermitian_eigh(M: np.ndarray) -> tuple:
     """``np.linalg.eigh`` of the Hermitian part (M + M^dag) / 2."""
-    return np.linalg.eigh((M + dagger(M)) / 2)
+    return np.linalg.eigh(hermitian_part(M))
 
 
 def hermitian_sqrt(M) -> np.ndarray:
@@ -120,7 +151,7 @@ def hermitian_sqrt(M) -> np.ndarray:
     commutes with M, and satisfies R @ R = M up to round-off.
     """
     M = as_square_matrix(M)
-    skew = first_norm_above(M - dagger(M), DEFAULT_TOL)
+    skew = first_skew_above(M, DEFAULT_TOL)
     if skew is not None:
         raise NotHermitian(f"||M - M^dag|| = {skew[1]:.3e} > tol = {DEFAULT_TOL:.3e}")
     w, V = hermitian_eigh(M)
@@ -199,7 +230,7 @@ def polar(X, side: str = "left", tol: float = DEFAULT_TOL) -> PolarFactors:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     U, s, Vh = np.linalg.svd(as_square_matrix(X))
-    isometry = (U * kept_directions(s, tol)) @ Vh
+    isometry = svd_isometry(U, s, Vh, tol)
     if side == "left":
         positive = dagger(Vh) @ (s[:, None] * Vh)
     else:
@@ -210,7 +241,11 @@ def polar(X, side: str = "left", tol: float = DEFAULT_TOL) -> PolarFactors:
 
 def polar_isometry(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     """The partial isometry that ``polar`` shares between its sides, of a matrix or of each of a stack."""
-    U, s, Vh = np.linalg.svd(as_square_stack(X))
+    return svd_isometry(*np.linalg.svd(as_square_stack(X)), tol)
+
+
+def svd_isometry(U: np.ndarray, s: np.ndarray, Vh: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The snap rule: U Vh on the singular directions of ``kept_directions``, zero on the rest; also on stacks."""
     return (U * kept_directions(s, tol)[..., None, :]) @ Vh
 
 
@@ -222,7 +257,7 @@ def is_partial_isometry(S, tol: float = DEFAULT_TOL) -> bool:
 
 def is_orthonormal(V: np.ndarray) -> bool:
     """True iff the columns of V are orthonormal: ||V^dag V - I|| <= DEFAULT_TOL."""
-    return first_norm_above(dagger(V) @ V - np.eye(V.shape[1]), DEFAULT_TOL) is None
+    return first_non_isometry(V, DEFAULT_TOL) is None
 
 
 def unitary_exp(H, t: float) -> np.ndarray:
@@ -233,7 +268,7 @@ def unitary_exp(H, t: float) -> np.ndarray:
     this problem class; no series or scaling-squaring.
     """
     H = as_square_stack(H)
-    skew = first_norm_above(H - dagger(H), DEFAULT_TOL)
+    skew = first_skew_above(H, DEFAULT_TOL)
     if skew is not None:
         raise NotHermitian(f"generator deviates from Hermitian by {skew[1]:.3e}")
     w, V = hermitian_eigh(H)
@@ -251,15 +286,16 @@ def validate_density(m):
     """
     m = as_square_stack(m)
     stack = m if m.ndim == 3 else m[None]
-    skew = first_norm_above(stack - dagger(stack), DEFAULT_TOL)
+    skew = first_skew_above(stack, DEFAULT_TOL)
     if skew is not None:
         raise InvalidState(f"density matrix not Hermitian (defect {skew[1]:.3e})")
-    stack = (stack + dagger(stack)) / 2
+    stack = hermitian_part(stack)
     w, V = np.linalg.eigh(stack)
     negative = np.flatnonzero(w[:, 0] < -DEFAULT_TOL)
     if negative.size:
         raise InvalidState(f"density matrix has eigenvalue {w[negative[0], 0]:.3e} < -tol")
-    tr = np.trace(stack, axis1=-2, axis2=-1).real
+    with np.errstate(over="ignore"):  # a trace beyond the float range is inf, which is not 1
+        tr = np.trace(stack, axis1=-2, axis2=-1).real
     off = np.flatnonzero(np.abs(tr - 1.0) > DEFAULT_TOL * stack.shape[-1])
     if off.size:
         raise InvalidState(f"density matrix trace must be 1, got {float(tr[off[0]])!r}")

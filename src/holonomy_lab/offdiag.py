@@ -21,8 +21,8 @@ from .linalg import (
     as_square_matrix,
     dagger,
     op_norm,
-    polar_isometry,
     support_projector,
+    svd_isometry,
 )
 from .evolution import density_path
 from .transport import TransportResult, discrete_holonomy
@@ -146,13 +146,15 @@ def nu_functional(A, X, tol: float = DEFAULT_TOL) -> NodalDiagnosis:
 def holonomy_isometry(X, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Shared partial isometry of the left and right polar decompositions.
 
-    Computed by the SVD route of ``polar_isometry``; the property suite
-    (``polar-consistency``) cross-checks it against the routes through
-    (X^dag X)^{1/2} and (X X^dag)^{1/2}.
+    Computed by the SVD route of ``polar_isometry``, whose largest
+    singular value, the operator norm of X, also decides that X vanishes
+    (at most tol); the property suite (``polar-consistency``)
+    cross-checks it against the routes through (X^dag X)^{1/2} and
+    (X X^dag)^{1/2}.
     """
-    op = as_square_matrix(X)
-    isometry = polar_isometry(op, tol)
-    if op_norm(op) <= tol:
+    U, s, Vh = np.linalg.svd(as_square_matrix(X))
+    isometry = svd_isometry(U, s, Vh, tol)  # rejects a bad tol before the zero test
+    if s[0] <= tol:
         raise ZeroOperator("cannot extract an isometry from a vanishing invariant")
     return isometry
 

@@ -279,6 +279,42 @@ def test_non_finite_numbers_exit_one_naming_the_input(tmp_path, capsys, field, a
     assert err.startswith(f"error: {field}") and "finite" in err, err
 
 
+_SIGMA_Z_QUBIT = "evolution:\n  variant: static\n  hamiltonian: [[1, 0], [0, -1]]\n  tau: 1.0\n"
+_TWO_QUBIT_STATES = "states:\n  - matrix: [[0.5, 0], [0, 0.5]]\n  - vector: [1, 0]\n"
+_ONE_OBSERVABLE = "invariants: [[1], [2], [1, 2]]\nobservables:\n  A: [[1, 0], [0, 0]]\n"
+
+
+# YAML 1.1 reads 1.0e+308 as a float; it needs the exponent's sign.
+@pytest.mark.parametrize(
+    "code, field, body",
+    [
+        (1, "states[1]", _TWO_QUBIT_STATES.replace("vector: [1, 0]", "matrix: [[0.5, 1.0e+308], [0, 0.5]]")
+         + _SIGMA_Z_QUBIT + _ONE_OBSERVABLE),
+        (0, None, _TWO_QUBIT_STATES.replace("[1, 0]", "[1.0e+308, 1]") + _SIGMA_Z_QUBIT + _ONE_OBSERVABLE),
+        (1, "states[1].eigenvectors",
+         _TWO_QUBIT_STATES.replace("vector: [1, 0]", "eigenvalues: [0.5, 0.5]\n    eigenvectors: [[1, 0], [1.0e+308, 1]]")
+         + _SIGMA_Z_QUBIT + _ONE_OBSERVABLE),
+        (0, None, _TWO_QUBIT_STATES + _SIGMA_Z_QUBIT.replace("[[1, 0]", "[[1.0e+308, 0]") + _ONE_OBSERVABLE),
+        (1, "evolution", _TWO_QUBIT_STATES
+         + "evolution:\n  variant: sampled\n  tau: 1.0\n  unitaries:\n    - [[1, 0], [0, 1]]\n    - [[1, 0], [0, 1.0e+308]]\n"
+         + _ONE_OBSERVABLE),
+        (0, None, _TWO_QUBIT_STATES + _SIGMA_Z_QUBIT + _ONE_OBSERVABLE.replace("[[1, 0]", "[[1.0e+308, 0]")),
+    ],
+    ids=["states.matrix", "states.vector", "states.eigenvectors", "evolution.hamiltonian", "evolution.unitaries",
+         "observables"],
+)
+def test_an_entry_near_the_float_limit_runs_or_exits_one_naming_its_field(tmp_path, capsys, code, field, body):
+    path = tmp_path / "huge.yaml"
+    path.write_text("format_version: 1\n" + body, encoding="utf-8")
+    exit_code, out, err = run_cli(capsys, "run", "--scenario", str(path))
+    assert exit_code == code, err
+    if code == 1:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {field}: "), err
+    else:
+        assert err == "" and "X_12" in out
+
+
 @pytest.mark.parametrize("command", [
     ("run", "--scenario", "bell-static"),
     ("sweep", "--scenario", "bell-static", "--parameter", "epsilon", "--values", "0.5"),

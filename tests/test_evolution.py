@@ -244,6 +244,19 @@ def test_sampled_validation_decision_is_the_spectral_norms():
         SampledUnitaries(tuple(us), grid)
 
 
+def test_sampled_validation_names_a_sample_too_large_to_square():
+    us, grid = _rotation_samples(4)
+    us[1] = np.diag([1.0, 1e308]).astype(complex)
+    with pytest.raises(NotUnitary, match=r"^sample 1 is not unitary within tolerance$"):
+        SampledUnitaries(tuple(us), grid)
+
+
+def test_static_hamiltonian_with_entries_near_the_float_limit_evolves():
+    spec = StaticHamiltonian(np.diag([1e308, -1e308]).astype(complex), tau=1.0)
+    U = unitary_at(spec, np.linspace(0.0, 1.0, 5))
+    assert np.allclose(np.abs(U), np.eye(2)[None])
+
+
 def test_sampled_validation_dimension_mismatch():
     us, grid = _rotation_samples(4)
     us[3] = np.eye(3)

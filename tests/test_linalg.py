@@ -8,6 +8,7 @@ from holonomy_lab.errors import InvalidState, NotHermitian, NotPSD
 from holonomy_lab.linalg import (
     eigh_exp,
     first_norm_above,
+    hermitian_part,
     hermitian_sqrt,
     is_partial_isometry,
     op_norm,
@@ -231,6 +232,37 @@ def test_first_norm_above_survives_frobenius_round_off(rng):
     assert low.size
     for k in low:
         assert first_norm_above(stack[k], bounds[k]) == (0, norms[k])
+
+
+def test_first_norm_above_counts_non_finite_members_as_above():
+    stack = np.zeros((4, 2, 2), dtype=complex)
+    stack[1, 0, 1] = np.nan
+    stack[2, 1, 1] = np.inf
+    stack[3, 0, 0] = 1e308  # a Frobenius norm that squares past the float range
+    index, norm = first_norm_above(stack, 1.0)
+    assert index == 1 and np.isnan(norm)
+    assert first_norm_above(stack[2:], 1.0) == (0, np.inf)
+    assert first_norm_above(stack[3:], 1.0) == (0, 1e308)
+    assert first_norm_above(np.array([[0, 1e308], [-1e308, 0]], dtype=complex), 1.0) == (0, 1e308)
+
+
+def test_hermitian_part_halves_before_it_sums(rng):
+    M = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    assert np.array_equal(hermitian_part(M), (M + M.conj().swapaxes(-1, -2)) / 2)
+    huge = np.array([[1e308, 1e308], [1e308, -1e308]], dtype=complex)
+    assert np.array_equal(hermitian_part(huge), huge)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [([[0.5, 1e308], [1e308, 0.5]], r"eigenvalue -1\.000e\+308"),
+     ([[1e308, 0], [0, 1e308]], "trace must be 1, got inf"),
+     ([[0.5, 1e308], [-1e308, 0.5]], r"not Hermitian \(defect inf\)")],
+    ids=["indefinite", "trace-beyond-float", "skew-beyond-float"],
+)
+def test_validate_density_rejects_entries_near_the_float_limit(matrix, message):
+    with pytest.raises(InvalidState, match=message):
+        validate_density(np.array(matrix, dtype=complex))
 
 
 # ------------------------------------------------------------------ unitary_exp

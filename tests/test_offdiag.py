@@ -211,6 +211,20 @@ def test_isometry_of_zero_operator():
         holonomy_isometry(np.zeros((3, 3)))
 
 
+def test_isometry_takes_one_svd_and_decides_zero_from_it(rng, monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    V = random_unitary(rng, 4)
+    assert np.allclose(holonomy_isometry(2.7 * V), V, atol=1e-10)
+    assert len(calls) == 1
+    small = 1e-3 * V
+    assert np.allclose(holonomy_isometry(small, tol=0.999e-3), V, atol=1e-10)
+    with pytest.raises(ZeroOperator, match="^cannot extract an isometry from a vanishing invariant$"):
+        holonomy_isometry(small, tol=1.001e-3)
+    assert len(calls) == 3
+
+
 # --------------------------------------------------------- alternative_ordering
 
 def _transport_pair(rng, dim=4, rank=3, n=60):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -356,3 +357,55 @@ def test_falls_back_to_python_loader_without_libyaml():
     done = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1000", "1e-09", "2"]
+
+
+def _rotation_file(tmp_path, tail: str, samples: int = 400) -> str:
+    """A sampled qubit scenario of ``samples`` rotations, with ``tail`` appended to its text."""
+    lines = ["format_version: 1", "states:", "  - preset: maximally-mixed", "    dimension: 2",
+             "  - vector: [1, 0]", "evolution:", "  variant: sampled", "  tau: 1.0", "  unitaries:"]
+    for t in np.linspace(0.0, 1.0, samples):
+        c, s = float(np.cos(t)), float(np.sin(t))
+        lines.append(f"    - [[[{c!r}, 0], [{-s!r}, 0]], [[{s!r}, 0], [{c!r}, 0]]]")
+    path = tmp_path / "rotation.yaml"
+    path.write_text("\n".join(lines) + "\n" + tail, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "tail, error",
+    [("invariants: [[1], [2], [1, 2]]\n", None),
+     ("invariants: [[1, 2]\n", r"^line \d+: "),
+     ("invariants: [[1, 3]]\n", r"^invariants\[0\]: index 3 out of range")],
+    ids=["good", "yaml-error", "field-error"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_load_scenario_pauses_the_cyclic_collector(tmp_path, tail, error, enabled):
+    path = _rotation_file(tmp_path, tail)
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    gc.collect()  # empty generation counts, so no collection is already due
+    gc.callbacks.append(record)
+    try:
+        if error is None:
+            assert len(load_scenario(path).spec.unitaries) == 400
+        else:
+            with pytest.raises(ScenarioFormatError, match=error):
+                load_scenario(path)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(record)
+        (gc.enable if was_enabled else gc.disable)()
+    assert starts == []
+
+
+def test_a_self_referential_alias_fails_naming_the_field(tmp_path):
+    path = _preset_file(tmp_path, "format_version: 1\nstates: &a [*a]\n")
+    with pytest.raises(ScenarioFormatError, match=r"^states\[0\]: expected a mapping"):
+        load_scenario(path)
+    assert gc.isenabled()

@@ -44,6 +44,26 @@ def test_pure_and_maximally_mixed():
     assert np.allclose(mm.matrix, np.eye(3) / 3)
 
 
+def test_pure_state_of_a_vector_near_the_float_limit():
+    assert np.allclose(DensityOperator.pure(np.array([1e308, 1.0])).matrix, np.diag([1.0, 0.0]), rtol=0, atol=1e-300)
+    both = DensityOperator.pure(np.array([1.7e308, 1.7e308j])).matrix
+    assert np.allclose(both, np.array([[1, -1j], [1j, 1]]) / 2, atol=1e-15)
+    with pytest.raises(InvalidState, match="zero vector"):
+        DensityOperator.pure(np.zeros(3))
+
+
+def test_pure_state_is_unchanged_by_the_power_of_two_scaling(rng):
+    for scale in (1.0, 3.0, 1e-100, 1e100):
+        v = scale * (rng.normal(size=5) + 1j * rng.normal(size=5))
+        u = v / np.linalg.norm(v)
+        assert np.array_equal(DensityOperator.pure(v).matrix, DensityOperator(np.outer(u, u.conj())).matrix)
+
+
+def test_density_operator_rejects_an_indefinite_matrix_near_the_float_limit():
+    with pytest.raises(InvalidState, match="eigenvalue"):
+        DensityOperator(np.array([[0.5, 1e308], [1e308, 0.5]]))
+
+
 def test_support_projector_of_state():
     rho = DensityOperator(rho1_matrix(0.5))
     P = rho.support
