@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotUnitary
-from .linalg import DEFAULT_TOL, as_square_matrix, dagger, first_non_isometry, is_orthonormal, kept_directions, support_power
+from .linalg import DEFAULT_TOL, as_square_matrix, dagger, first_non_isometry, kept_directions, support_power
 from .evolution import EvolutionSpec, RotatingFrame, StaticHamiltonian, TimeGrid, rotating_generator, unitary_at
 from .offdiag import nu_functional, off_diagonal_invariant, phase_factor, principal_angle, sequence_invariants
 from .state import DensityOperator, chunk_slices
@@ -57,7 +57,7 @@ class PermutedFamily:
         V = np.asarray(self.eigenvectors, dtype=complex)
         if V.ndim != 2 or V.shape[1] != lam.size:
             raise ValueError("need one eigenvector column per eigenvalue")
-        if not is_orthonormal(V):
+        if first_non_isometry(V, DEFAULT_TOL) is not None:
             raise ValueError("eigenvectors must be orthonormal")
         if lam.min() < -DEFAULT_TOL or abs(lam.sum() - 1.0) > DEFAULT_TOL:
             raise ValueError("eigenvalues must be a probability vector")

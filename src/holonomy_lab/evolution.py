@@ -16,6 +16,7 @@ from .linalg import (
     first_norm_above,
     first_skew_above,
     hermitian_eigh,
+    hermitian_part,
 )
 from .state import DensityOperator, DensityPath
 
@@ -269,8 +270,7 @@ def rotating_generator(spec: RotatingFrame, t) -> np.ndarray:
     heff = spec.effective_hamiltonian
     R = eigh_exp(*spec._eigh, -t)  # exp(+i t H_eff)
     h = -heff - (spec.u / 2) * (R @ SIGMA_Z @ dagger(R))
-    h = (h + dagger(h)) / 2
-    return _on_driven_qubit(h)
+    return _on_driven_qubit(hermitian_part(h))
 
 
 def density_path(rho0: DensityOperator, spec: EvolutionSpec, grid: TimeGrid) -> DensityPath:

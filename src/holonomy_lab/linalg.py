@@ -1,10 +1,12 @@
 """Dense complex-matrix primitives.
 
-All routines operate on small square numpy arrays (dim <= ~64). Every
-rank decision is ``kept_directions``: eigenvalues and singular values
-alike count as nonzero above tol times the largest one. Partial
-isometries are completed by zero on the kernel, so that the kernel of
-the extracted isometry equals the kernel of the input.
+All routines operate on small square numpy arrays (dim <= ~64). Each
+matrix rule has one owner: ``kept_directions`` makes every rank decision
+(eigenvalues and singular values alike are nonzero above tol times the
+largest one), ``svd_isometry`` snaps to the partial isometry that is zero
+on the kernel of its input, ``hermitian_part`` forms (M + M^dag) / 2, and
+``first_norm_above`` makes every norm test, through ``first_skew_above``,
+``first_non_isometry`` and the partial-isometry test.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "polar_isometry",
     "svd_isometry",
     "is_partial_isometry",
-    "is_orthonormal",
     "unitary_exp",
     "validate_density",
     "transition_probability",
@@ -111,15 +112,19 @@ def first_norm_above(M: np.ndarray, bound: float):
 def first_skew_above(M: np.ndarray, bound: float):
     """``first_norm_above`` of M - M^dag: the first member of a stack that is not Hermitian within bound."""
     with np.errstate(over="ignore"):  # a difference beyond the float range is inf, above the bound
-        skew = M - dagger(M)
-    return first_norm_above(skew, bound)
+        return first_norm_above(M - dagger(M), bound)
 
 
 def first_non_isometry(V: np.ndarray, bound: float):
     """``first_norm_above`` of V^dag V - 1: the first member of a stack whose columns are not orthonormal."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product is inf or nan, above the bound
-        defect = dagger(V) @ V - np.eye(V.shape[-1])
-    return first_norm_above(defect, bound)
+        return first_norm_above(dagger(V) @ V - np.eye(V.shape[-1]), bound)
+
+
+def _first_non_partial_isometry(S: np.ndarray, bound: float):
+    """``first_norm_above`` of S S^dag S - S: the first member of a stack that is not a partial isometry."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product is inf or nan, above the bound
+        return first_norm_above(S @ dagger(S) @ S - S, bound)
 
 
 def kept_directions(values: np.ndarray, tol: float) -> np.ndarray:
@@ -166,8 +171,7 @@ def eigh_root(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     ``w`` has shape (..., r) and ``V`` (..., d, r) with eigenvectors as
     columns; r < d gives the root on the span of those columns.
     """
-    R = (V * np.sqrt(w)[..., None, :]) @ dagger(V)
-    return (R + dagger(R)) / 2
+    return hermitian_part((V * np.sqrt(w)[..., None, :]) @ dagger(V))
 
 
 def eigh_exp(w: np.ndarray, V: np.ndarray, t) -> np.ndarray:
@@ -203,8 +207,7 @@ def support_projector(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """
     U, s, _ = np.linalg.svd(as_square_matrix(M))
     kept = U[:, kept_directions(s, tol)]
-    P = kept @ dagger(kept)
-    return (P + dagger(P)) / 2
+    return hermitian_part(kept @ dagger(kept))
 
 
 @dataclass(frozen=True)
@@ -230,13 +233,11 @@ def polar(X, side: str = "left", tol: float = DEFAULT_TOL) -> PolarFactors:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     U, s, Vh = np.linalg.svd(as_square_matrix(X))
-    isometry = svd_isometry(U, s, Vh, tol)
     if side == "left":
         positive = dagger(Vh) @ (s[:, None] * Vh)
     else:
-        positive = U @ (s[:, None] * dagger(U))
-    positive = (positive + dagger(positive)) / 2
-    return PolarFactors(isometry=isometry, positive_part=positive)
+        positive = U @ (s[:, None] * dagger(U))  # before the snap, which masks U
+    return PolarFactors(isometry=svd_isometry(U, s, Vh, tol), positive_part=hermitian_part(positive))
 
 
 def polar_isometry(X, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -245,19 +246,14 @@ def polar_isometry(X, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def svd_isometry(U: np.ndarray, s: np.ndarray, Vh: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The snap rule: U Vh on the singular directions of ``kept_directions``, zero on the rest; also on stacks."""
-    return (U * kept_directions(s, tol)[..., None, :]) @ Vh
+    """The snap rule: U Vh on the singular directions of ``kept_directions``, zero on the rest; masks U in place."""
+    U *= kept_directions(s, tol)[..., None, :]
+    return U @ Vh
 
 
 def is_partial_isometry(S, tol: float = DEFAULT_TOL) -> bool:
     """True iff S S^dag S = S within tolerance (S^dag S is a projector)."""
-    S = as_square_matrix(S)
-    return first_norm_above(S @ dagger(S) @ S - S, tol) is None
-
-
-def is_orthonormal(V: np.ndarray) -> bool:
-    """True iff the columns of V are orthonormal: ||V^dag V - I|| <= DEFAULT_TOL."""
-    return first_non_isometry(V, DEFAULT_TOL) is None
+    return _first_non_partial_isometry(as_square_matrix(S), tol) is None
 
 
 def unitary_exp(H, t: float) -> np.ndarray:

@@ -85,12 +85,10 @@ def off_diagonal_invariant(results) -> np.ndarray:
     mats = [r.invariant for r in results]
     if not mats:
         raise ValueError("need at least one transport result")
-    dim = mats[0].shape[0]
-    for m in mats:
-        if m.shape[0] != dim:
-            raise DimensionMismatch("constituent invariants differ in dimension")
     op = mats[0]
     for m in mats[1:]:
+        if m.shape[0] != op.shape[0]:
+            raise DimensionMismatch("constituent invariants differ in dimension")
         op = op @ m
     return op
 
@@ -171,10 +169,7 @@ def alternative_ordering(results) -> np.ndarray:
     if not isinstance(first, TransportResult):
         raise TypeError("alternative_ordering needs TransportResult inputs")
     dim = first.initial_amplitude.shape[0]
-    middle = np.eye(dim, dtype=complex)
-    for r in results[1:]:
-        m = r.invariant
-        if m.shape[0] != dim:
-            raise DimensionMismatch("constituent invariants differ in dimension")
-        middle = middle @ m
+    middle = off_diagonal_invariant(results[1:]) if len(results) > 1 else np.eye(dim, dtype=complex)
+    if middle.shape[0] != dim:
+        raise DimensionMismatch("constituent invariants differ in dimension")
     return dagger(first.initial_amplitude) @ middle @ first.final_amplitude

@@ -18,7 +18,7 @@ import yaml
 
 from .errors import GridMiss, InvalidState, ScenarioFormatError
 from .evolution import RotatingFrame, SampledUnitaries, StaticHamiltonian, TimeGrid, time_slack
-from .linalg import DEFAULT_TOL, is_orthonormal
+from .linalg import DEFAULT_TOL, first_non_isometry
 from .scenarios import BellScenario, bell_mixture
 from .state import DensityOperator
 
@@ -105,10 +105,15 @@ PRESET_PARAMETERS = {"epsilon": ("epsilon", _as_number), "u": ("u", _as_number),
 
 
 def _as_complex(entry, fieldname: str) -> complex:
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return complex(_as_number(entry, fieldname))
     if isinstance(entry, (list, tuple)) and len(entry) == 2:
         return complex(_as_number(entry[0], fieldname), _as_number(entry[1], fieldname))
+    if isinstance(entry, str):  # YAML 1.1 reads bare scientific notation like 1e5 as a string
+        try:
+            entry = float(entry)
+        except ValueError:
+            pass
+    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+        return complex(_as_number(entry, fieldname))
     _fail(fieldname, f"expected a real number or [re, im] pair, got {entry!r}")
 
 
@@ -170,7 +175,7 @@ def _parse_state(entry, fieldname: str) -> DensityOperator:
                 if col.size != cols[0].size:
                     _fail(f"{fieldname}.eigenvectors[{i}]", f"expected {cols[0].size} entries, got {col.size}")
             V = np.column_stack(cols)
-            if not is_orthonormal(V):
+            if first_non_isometry(V, DEFAULT_TOL) is not None:
                 _fail(f"{fieldname}.eigenvectors", "must be orthonormal")
             m = (V * np.asarray(lam)) @ V.conj().T
             return DensityOperator(m)

@@ -21,6 +21,7 @@ from .linalg import (
     dagger,
     eigh_root,
     first_norm_above,
+    hermitian_part,
     is_partial_isometry,
     kept_directions,
     support_power,
@@ -164,7 +165,10 @@ def apply_gauge(W, S) -> np.ndarray:
     S = as_square_matrix(S)
     if W.shape != S.shape:
         raise DimensionMismatch(f"amplitude shape {W.shape} vs gauge shape {S.shape}")
-    state = W @ dagger(W)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing W W^dag is inf or nan, so no state
+        state = W @ dagger(W)
+    if not np.isfinite(state).all():
+        raise InvalidState("W W^dag is not a density operator: its entries overflow")
     validate_density(state)
     if not is_partial_isometry(S):
         raise InvalidState("gauge matrix is not a partial isometry")
@@ -191,6 +195,6 @@ def parallelity_residual(W, W2) -> float:
     # One eigensolve for both parts: i(M - M^dag) is Hermitian, and its
     # spectral norm ||M - M^dag|| is the larger of -lambda_min and
     # lambda_max (the spectrum is not symmetric about zero).
-    w = np.linalg.eigvalsh(np.stack([(M + dagger(M)) / 2, 1j * (M - dagger(M))]))
+    w = np.linalg.eigvalsh(np.stack([hermitian_part(M), 1j * (M - dagger(M))]))
     herm = max(-w[1, 0], w[1, -1])
     return float(max(herm, abs(min(0.0, w[0, 0]))))

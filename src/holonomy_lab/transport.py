@@ -34,12 +34,13 @@ from .errors import DimensionMismatch, GridTooCoarse, InvalidState, OrthogonalSt
 from .evolution import EvolutionSpec, TimeGrid, density_path, unitary_at
 from .linalg import (
     DEFAULT_TOL,
+    _first_non_partial_isometry,
     as_square_stack,
     dagger,
     eigh_root,
-    first_norm_above,
     kept_directions,
     polar_isometry,
+    svd_isometry,
 )
 from .state import DensityOperator, DensityPath, chunk_slices, parallelity_residual
 
@@ -94,8 +95,7 @@ class AncillaGauge:
         if len(samples) != self.grid.times.size:
             raise ValueError("one gauge sample per grid time is required")
         for k in chunk_slices(0, len(samples)):
-            S = samples[k]
-            bad = first_norm_above(S @ dagger(S) @ S - S, DEFAULT_TOL * S.shape[-1])
+            bad = _first_non_partial_isometry(samples[k], DEFAULT_TOL * samples.shape[-1])
             if bad is not None:
                 raise ValueError(f"gauge sample {k.start + bad[0]} is not a partial isometry")
 
@@ -118,8 +118,7 @@ def _step_isometries(G, sk, tol, start):
         raise OrthogonalStep(
             f"transition probability {float(fid[k - start]):.3e} <= tol between steps {k} and {k + 1}"
         )
-    X *= kept_directions(sv, tol)[:, None, :]
-    return X @ Yh
+    return svd_isometry(X, sv, Yh, tol)
 
 
 def _frame_products(path, tol):

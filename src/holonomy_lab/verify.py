@@ -22,6 +22,7 @@ from .evolution import (
 )
 from .linalg import (
     dagger,
+    hermitian_part,
     hermitian_sqrt,
     op_norm,
     polar,
@@ -79,8 +80,7 @@ def _random_complex(rng, dim):
 
 
 def _random_hermitian(rng, dim):
-    A = _random_complex(rng, dim)
-    return (A + dagger(A)) / 2
+    return hermitian_part(_random_complex(rng, dim))
 
 
 def _random_psd(rng, dim):
@@ -270,7 +270,7 @@ def check_path_spectrum(rng):
     # eigenvalues: this fails if the eigenvectors lose orthonormality.
     V = path.V
     m = (V * path.w[:, None, :]) @ dagger(V)
-    worst = float(np.max(np.abs(np.linalg.eigvalsh((m + dagger(m)) / 2) - rho.eigenvalues)))
+    worst = float(np.max(np.abs(np.linalg.eigvalsh(hermitian_part(m)) - rho.eigenvalues)))
     return [_result("path-spectrum", "unitary-invariance", worst, 1e-10)]
 
 
@@ -576,7 +576,7 @@ def check_reference_return(rng):
     n = grid.n_steps
     w, V = rho2_path.w[n], rho2_path.frames(n, n + 1)[0]
     last = (V * w) @ dagger(V)
-    err = op_norm((last + dagger(last)) / 2 - rho1.matrix)
+    err = op_norm(hermitian_part(last) - rho1.matrix)
     return [_result("reference-return", "flip-returns-reference", err, 1e-10)]
 
 

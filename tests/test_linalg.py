@@ -160,6 +160,18 @@ def test_polar_reconstruction_and_kernel(rng):
     assert is_partial_isometry(f.isometry)
 
 
+def test_right_polar_keeps_its_positive_part_whole_after_the_snap(rng):
+    # The snap zeroes cut columns of the SVD's U in place; the right positive part is formed from U first.
+    X = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    X[:, 0] = 0.0
+    f = polar(X, "right")
+    assert op_norm(f.positive_part @ f.isometry - X) < 1e-10
+    assert op_norm(f.positive_part - hermitian_sqrt(X @ X.conj().T)) < 1e-10
+    cut = polar(X, "right", tol=0.9)  # cuts directions with nonzero singular values from the isometry
+    assert np.linalg.matrix_rank(cut.isometry) < 4
+    assert np.array_equal(cut.positive_part, f.positive_part)
+
+
 def test_polar_matches_scipy_on_full_rank(rng):
     # scipy computes the unitary polar factor; on full-rank inputs the
     # partial-isometry convention coincides with it.
@@ -190,6 +202,8 @@ def test_partial_isometry_examples():
     assert is_partial_isometry(np.diag([1.0, 0.0]))
     assert not is_partial_isometry(np.diag([2.0, 0.0]))
     assert is_partial_isometry(usf_matrix())
+    # S S^dag S overflows to inf, which is above every bound; no RuntimeWarning is raised.
+    assert not is_partial_isometry(np.diag([1e200, 1.0]))
 
 
 def test_partial_isometry_decision_is_the_spectral_norms():
@@ -247,8 +261,10 @@ def test_first_norm_above_counts_non_finite_members_as_above():
 
 
 def test_hermitian_part_halves_before_it_sums(rng):
-    M = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-    assert np.array_equal(hermitian_part(M), (M + M.conj().swapaxes(-1, -2)) / 2)
+    # Halving is exact away from the float limits, so both orders give the same bits.
+    for shape, scale in (((3, 4, 4), 1.0), ((4, 4), 1.0), ((7, 2, 2), 1e-100), ((2, 16, 16), 1e100)):
+        M = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        assert np.array_equal(hermitian_part(M), (M + M.conj().swapaxes(-1, -2)) / 2)
     huge = np.array([[1e308, 1e308], [1e308, -1e308]], dtype=complex)
     assert np.array_equal(hermitian_part(huge), huge)
 

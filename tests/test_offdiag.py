@@ -77,6 +77,10 @@ def test_dimension_mismatch():
     b = _constant_result(DensityOperator.maximally_mixed(3))
     with pytest.raises(DimensionMismatch):
         off_diagonal_invariant([a, b])
+    # The alternative ordering checks the later paths against the first one, then among themselves.
+    for results in ([a, b], [b, a, a], [a, a, b]):
+        with pytest.raises(DimensionMismatch):
+            alternative_ordering(results)
 
 
 def test_sequence_invariants_transport_each_named_state_once(rng, monkeypatch):

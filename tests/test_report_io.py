@@ -273,6 +273,22 @@ def test_integer_fields_accept_yaml_scientific_strings(tmp_path):
     assert isinstance(cfg.grid.n_steps, int)
 
 
+def test_matrix_entries_accept_yaml_scientific_strings(tmp_path):
+    # YAML 1.1 reads bare 5e-1 and 1e5 as strings; as matrix entries they still count as numbers.
+    body = (
+        "format_version: 1\n"
+        "states:\n  - matrix: [[5e-1, 0], [0, 5e-1]]\n"
+        "evolution: {variant: static, hamiltonian: [[0, 0], [0, 0]], tau: 1.0}\n"
+        "observables:\n  Z: [[1e5, 0], [0, -1e5]]\n"
+    )
+    cfg = load_scenario(_preset_file(tmp_path, body))
+    assert np.array_equal(cfg.states[0].matrix, np.eye(2) / 2)
+    assert np.array_equal(cfg.observables["Z"], np.diag([1e5, -1e5]))
+    bad = _preset_file(tmp_path, body.replace("[0, 5e-1]]", "[0, half]]"))
+    with pytest.raises(ScenarioFormatError, match=r"^states\[0\]\.matrix\[1\]\[1\]: expected a real number or \[re, im\] pair, got 'half'$"):
+        load_scenario(bad)
+
+
 # ----------------------------------------------------------- YAML loader
 
 def _config_tree(value):

@@ -96,6 +96,12 @@ def test_amplitude_rejects_non_state():
         apply_gauge(np.eye(2), np.eye(2))  # W W^dag has trace 2
 
 
+def test_amplitude_whose_state_overflows_is_rejected():
+    # W W^dag overflows to inf: rejected as no density operator, with no RuntimeWarning.
+    with pytest.raises(InvalidState, match="not a density operator"):
+        apply_gauge(np.diag([1e200, 0.0]), np.eye(2))
+
+
 def test_apply_gauge_identity():
     W = DensityOperator(rho1_matrix(0.5)).sqrt
     assert np.allclose(apply_gauge(W, np.eye(4)), W)

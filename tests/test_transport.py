@@ -38,6 +38,7 @@ from holonomy_lab.state import PATH_CHUNK, DensityOperator, DensityPath, paralle
 from holonomy_lab.transport import (
     AncillaGauge,
     _frame_products,
+    _step_isometries,
     discrete_holonomy,
     pure_parallelity_residual,
     solve_ancilla_gauge,
@@ -176,6 +177,19 @@ def test_chunked_transport_matches_step_by_step_reference():
     assert op_norm(res.relative_phase_factor - V) < 1e-12
     assert op_norm(res.invariant - invariant) < 1e-12
     assert abs(res.max_step_parallelity_residual - worst) < 1e-12
+
+
+def test_step_isometries_equal_the_masked_svd_product_bitwise(rng):
+    # The third direction carries weight 1e-6 in every state, so each step's third singular value
+    # is about 1e-12 of its largest and the snap cuts it; the cut column of X is not zero.
+    k, r = 9, 3
+    G = polar_isometry(rng.normal(size=(k, r, r)) + 1j * rng.normal(size=(k, r, r)))
+    sk = np.sqrt(rng.uniform(0.2, 1.0, size=(k + 1, r)))
+    sk[:, 2] = 1e-6
+    X, sv, Yh = np.linalg.svd(sk[1:, :, None] * G * sk[:-1, None, :])
+    kept = kept_directions(sv, DEFAULT_TOL)
+    assert not kept[:, 2].any() and kept[:, :2].all()
+    assert np.array_equal(_step_isometries(G, sk, DEFAULT_TOL, 0), (X * kept[:, None, :]) @ Yh)
 
 
 def _orbit_cases():
