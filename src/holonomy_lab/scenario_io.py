@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import gc
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass, field, replace
+from types import GeneratorType
 
 import numpy as np
 import yaml
+from yaml.composer import ComposerError
+from yaml.constructor import ConstructorError
+from yaml.nodes import ScalarNode
 
 from .errors import GridMiss, InvalidState, ScenarioFormatError
 from .evolution import RotatingFrame, SampledUnitaries, StaticHamiltonian, TimeGrid, time_slack
@@ -28,6 +33,9 @@ PRESETS = ("bell-static", "bell-rotating")
 
 # PyYAML's safe loader, with libyaml's C parser where PyYAML was built with it.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_SEQ, _MAP, _STR, _MERGE, _VALUE = (f"tag:yaml.org,2002:{name}" for name in ("seq", "map", "str", "merge", "value"))
+# What an open collection reads next: a sequence's item, a mapping's key, or a merge key's value.
+_ITEM, _KEY, _MERGE_KEY = object(), object(), object()
 
 
 @dataclass
@@ -255,7 +263,7 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
     if not isinstance(data, dict):
         _fail("file", "top level must be a mapping")
     version = data.get("format_version")
-    if version != 1:
+    if version != 1 or isinstance(version, bool):  # True == 1
         _fail("format_version", f"expected 1, got {version!r}")
 
     tolerances = {}
@@ -326,6 +334,8 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
         A = _as_matrix(value, f"observables.{key}")
         if A.shape[0] != dim:
             _fail(f"observables.{key}", f"dimension {A.shape[0]} vs states {dim}")
+        if str(key) in cfg.observables:  # e.g. the keys 1 and '1'
+            _fail(f"observables.{key}", f"the name {str(key)!r} is used twice")
         cfg.observables[str(key)] = A
     return cfg
 
@@ -333,12 +343,13 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
 def load_scenario(path: str, base_tol: float = DEFAULT_TOL) -> ScenarioConfig:
     """Read and validate a scenario file; parse errors name the line.
 
-    The cyclic garbage collector is paused for the load and then put
-    back as it was found. The lists and nodes that PyYAML and the
+    The text is read by ``_read_yaml``, which builds the data straight
+    from the YAML parser's events, with no node graph in between. The
+    cyclic garbage collector is paused for the load and then put back as
+    it was found. The lists and mappings that the reader and the
     validation build hold no reference cycles, so reference counting
     frees them, and the collector's repeated scans of them only cost
-    time: about half of the load of a file of 2001 sampled unitaries. A
-    file that aliases a list into itself does build a cycle; the
+    time. A file that aliases a list into itself does build a cycle; the
     collector frees it once it is back on.
     """
     enabled = gc.isenabled()
@@ -361,9 +372,191 @@ def _load(path: str, base_tol: float) -> ScenarioConfig:
     except OSError as exc:
         raise ScenarioFormatError(f"file: {exc}") from exc
     try:
-        data = yaml.load(text, Loader=_LOADER)
+        data = _read_yaml(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"line {mark.line + 1}" if mark is not None else "unknown line"
         raise ScenarioFormatError(f"{where}: {exc}") from exc
     return parse_scenario(data, name=path, base_tol=base_tol)
+
+
+class _Open:
+    """A sequence or mapping whose end event is still to come."""
+
+    __slots__ = ("data", "mark", "key", "marks", "merges")
+
+    def __init__(self, data, mark, key, marks):
+        self.data, self.mark = data, mark
+        self.key = key  # _ITEM, _KEY, _MERGE_KEY, or the key whose value comes next
+        self.marks = marks  # a sequence's item marks, kept where a merge may need them
+        self.merges = None  # a mapping's merge values, with their item marks
+
+
+def _read_yaml(text: str):
+    """The one YAML document in ``text`` as plain data, equal to ``yaml.load(text, Loader=_LOADER)``.
+
+    The data is built straight from the parser's events, with no node
+    graph in between. Each scalar's tag and value come from PyYAML's own
+    resolver and constructors, and anchors, aliases, merge keys, the
+    ``=`` key, repeated keys (the last wins) and empty text (None) read
+    as with ``yaml.load``. Errors are ``yaml.YAMLError``s with a
+    ``problem_mark``; as with ``yaml.load``, a parse error wins over an
+    earlier construction error. Narrowings: a sequence or mapping with an
+    explicit tag other than ``!!seq`` or ``!!map`` (``!!set``, ``!!omap``,
+    ``!!pairs``) fails, naming the tag, and so does a mapping that merges
+    itself; a scalar that its tag's constructor cannot read fails with
+    its line instead of a bare ``ValueError``, ``KeyError`` or
+    ``AttributeError``.
+    """
+    loader = _LOADER(text)
+    try:
+        return _build(loader)
+    except yaml.YAMLError as exc:
+        # The traceback's frames hold the partial data; dropping them frees it by reference counting.
+        raise exc.with_traceback(None)
+    finally:
+        loader.dispose()
+
+
+def _build(loader):
+    """Walk the loader's events once, keeping only the data and the open collections."""
+    get_event, resolve = loader.get_event, loader.resolve
+    constructors = loader.yaml_constructors
+    undefined = constructors[None]
+    anchors = {}  # anchor -> (value, start mark, item marks of a sequence)
+    stack = []  # the open collections, innermost last
+    merging = []  # (mapping, merge values, start mark) of each mapping with a merge key
+    error = None  # the first construction error, raised once the text has parsed
+    get_event()  # stream start
+    if isinstance(get_event(), yaml.StreamEndEvent):  # empty or comment-only text
+        return None
+    while True:
+        event = get_event()
+        kind = event.__class__
+        if kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
+            frame = stack.pop()
+            value, mark, marks = frame.data, frame.mark, frame.marks
+            if frame.merges is not None:
+                merging.append((value, frame.merges, mark))
+        elif kind is yaml.AliasEvent:
+            if event.anchor not in anchors:
+                raise ComposerError(None, None, f"found undefined alias {event.anchor!r}", event.start_mark)
+            value, mark, marks = anchors[event.anchor]
+            if isinstance(value, ScalarNode) and stack[-1].key is not _KEY:  # a merge key reused as a value
+                problem = f"could not determine a constructor for the tag {_MERGE!r}"
+                error, value = error or ConstructorError(None, None, problem, mark), None
+        else:
+            anchor, mark, marks, tag = event.anchor, event.start_mark, None, event.tag
+            if anchor is not None and anchor in anchors:
+                problem = f"found duplicate anchor {anchor!r}; first occurrence"
+                raise ComposerError(problem, anchors[anchor][1], "second occurrence", mark)
+            if kind is yaml.ScalarEvent:
+                is_key = bool(stack) and stack[-1].key is _KEY
+                if tag is None or tag == "!":
+                    tag = resolve(ScalarNode, event.value, event.implicit)
+                if is_key and tag == _VALUE:  # PyYAML reads a plain = key as the string "="
+                    tag = _STR
+                node = ScalarNode(tag, event.value, mark, event.end_mark, event.style)
+                if is_key and tag == _MERGE:
+                    value = node  # the mapping's next value is merged into it
+                else:
+                    try:
+                        value = constructors.get(tag, undefined)(loader, node)
+                        if isinstance(value, GeneratorType):  # a collection tag on a scalar: running it fails
+                            value = list(value)[0]
+                    except yaml.YAMLError as exc:
+                        error, value = error or exc.with_traceback(None), None
+                    except (ValueError, KeyError, AttributeError):  # e.g. !!int abc, !!bool maybe
+                        problem = f"cannot read {event.value!r} as {_shown(tag)}"
+                        error, value = error or ConstructorError(None, None, problem, mark), None
+            else:
+                sequence = kind is yaml.SequenceStartEvent
+                if tag is not None and tag != "!" and tag != (_SEQ if sequence else _MAP):
+                    found = "sequence" if sequence else "mapping"
+                    problem = f"found a {found} tagged {_shown(tag)}; only !!seq and !!map are read"
+                    error = error or ConstructorError(None, None, problem, mark)
+                if sequence and (anchor is not None or (stack and stack[-1].key is _MERGE_KEY)):
+                    marks = []
+                frame = _Open([] if sequence else {}, mark, _ITEM if sequence else _KEY, marks)
+                stack.append(frame)
+                if anchor is not None:  # registered now, so the collection may alias itself
+                    anchors[anchor] = (frame.data, mark, marks)
+                continue
+            if anchor is not None:
+                anchors[anchor] = (value, mark, None)
+        if not stack:
+            break
+        top = stack[-1]
+        key = top.key
+        if key is _ITEM:
+            top.data.append(value)
+            if top.marks is not None:
+                top.marks.append(mark)
+        elif key is _KEY:
+            if isinstance(value, ScalarNode):
+                top.key = _MERGE_KEY
+            elif isinstance(value, Hashable):
+                top.key = value
+            else:
+                problem = "found unhashable key"
+                error = error or ConstructorError("while constructing a mapping", top.mark, problem, mark)
+                top.key = None
+        elif key is _MERGE_KEY:
+            top.key = _KEY
+            if not isinstance(value, (dict, list)):
+                problem = "expected a mapping or list of mappings for merging, but found scalar"
+                error = error or ConstructorError("while constructing a mapping", top.mark, problem, mark)
+            if top.merges is None:
+                top.merges = []
+            top.merges.append((value, marks))
+        else:
+            top.data[key] = value
+            top.key = _KEY
+    get_event()  # document end
+    event = get_event()
+    if not isinstance(event, yaml.StreamEndEvent):
+        problem = "but found another document"
+        raise ComposerError("expected a single document in the stream", mark, problem, event.start_mark)
+    if error is not None:
+        raise error
+    _complete_merges(merging)
+    return value
+
+
+def _shown(tag: str) -> str:
+    return tag.replace("tag:yaml.org,2002:", "!!")
+
+
+def _complete_merges(merging) -> None:
+    """Put each mapping's merged keys before its own, as PyYAML does; its own keys win.
+
+    Runs once every collection is read, so a merged mapping or list is
+    whole even if it was still open at its merge key, and completes a
+    merged mapping before the mappings that merge it.
+    """
+    pending = {}
+    for data, merges, mark in merging:
+        sources = []  # PyYAML's order: a list's mappings last to first, each merge key's after the one before
+        for value, marks in merges:
+            if isinstance(value, dict):
+                sources.append(value)
+                continue
+            for item, item_mark in zip(value, marks):
+                if not isinstance(item, dict):
+                    found = "sequence" if isinstance(item, list) else "scalar"
+                    problem = f"expected a mapping for merging, but found {found}"
+                    raise ConstructorError("while constructing a mapping", mark, problem, item_mark)
+            sources.extend(reversed(value))
+        pending[id(data)] = (data, sources, mark)
+    while pending:
+        ready = [k for k, (_, sources, _) in pending.items() if not any(id(m) in pending for m in sources)]
+        if not ready:
+            mark = next(iter(pending.values()))[2]
+            raise ConstructorError("while constructing a mapping", mark, "found a mapping that merges itself", mark)
+        for k in ready:
+            data, sources, _ = pending.pop(k)
+            own = list(data.items())
+            data.clear()
+            for source in sources:
+                data.update(source)
+            data.update(own)

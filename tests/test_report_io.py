@@ -88,6 +88,25 @@ def test_missing_format_version(tmp_path):
         load_scenario(path)
 
 
+def test_format_version_true_is_not_version_one(tmp_path):
+    # YAML reads true as a bool, and True == 1 in Python.
+    path = _preset_file(tmp_path, "format_version: true\nscenario: bell-static\n")
+    with pytest.raises(ScenarioFormatError, match=r"^format_version: expected 1, got True$"):
+        load_scenario(path)
+
+
+def test_observable_names_that_read_alike_fail(tmp_path):
+    # The keys 1 and '1' are two YAML keys, but both would report as nu[1].
+    body = (
+        "format_version: 1\n"
+        "states:\n  - preset: maximally-mixed\n    dimension: 2\n"
+        "evolution: {variant: static, hamiltonian: [[0, 0], [0, 0]], tau: 1.0}\n"
+        "observables:\n  1: [[1, 0], [0, 1]]\n  '1': [[1, 0], [0, 0]]\n"
+    )
+    with pytest.raises(ScenarioFormatError, match=r"^observables\.1: the name '1' is used twice$"):
+        load_scenario(_preset_file(tmp_path, body))
+
+
 def test_yaml_error_names_line(tmp_path):
     path = _preset_file(tmp_path, "format_version: 1\nstates: [unclosed\n")
     with pytest.raises(ScenarioFormatError, match="line"):
@@ -331,6 +350,16 @@ def test_loaders_give_equal_configs(path, monkeypatch):
     assert _config_tree(fast) == _config_tree(load_scenario(path))
 
 
+@pytest.mark.parametrize(
+    "path", [os.path.join(REPO, "demos", "example_scenario.yaml"), os.path.join(REPO, "tests", "golden", "preset_override.yaml")],
+    ids=["example", "preset"],
+)
+def test_files_give_the_config_of_yaml_load(path):
+    with open(path, encoding="utf-8") as handle:
+        data = yaml.load(handle.read(), Loader=scenario_io._LOADER)
+    assert _config_tree(load_scenario(path)) == _config_tree(parse_scenario(data, name=path))
+
+
 def test_loaders_give_equal_sampled_configs(tmp_path, monkeypatch):
     path = _small_sampled_file(tmp_path)
     with open(path, encoding="utf-8") as handle:
@@ -391,8 +420,9 @@ def _rotation_file(tmp_path, tail: str, samples: int = 400) -> str:
     "tail, error",
     [("invariants: [[1], [2], [1, 2]]\n", None),
      ("invariants: [[1, 2]\n", r"^line \d+: "),
+     ("invariants: !!set {1, 2}\n", r"^line \d+: found a mapping tagged !!set"),
      ("invariants: [[1, 3]]\n", r"^invariants\[0\]: index 3 out of range")],
-    ids=["good", "yaml-error", "field-error"],
+    ids=["good", "yaml-error", "tag-error", "field-error"],
 )
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
 def test_load_scenario_pauses_the_cyclic_collector(tmp_path, tail, error, enabled):
