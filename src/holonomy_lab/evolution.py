@@ -205,10 +205,17 @@ def first_time_outside(t, tau: float):
     return t if t < -slack or t > tau + slack else None
 
 
-def _check_time(spec, t) -> None:
+def _check_time(spec, t):
+    """Raise OutOfRange or GridMiss for the first failing time of ``t``.
+
+    Returns the sample indices of ``t`` on a sampled path, else None.
+    """
     bad = first_time_outside(t, spec.tau)
     if bad is not None:
+        if isinstance(t, np.ndarray) and isinstance(spec, SampledUnitaries):
+            spec.sample_index(t.flat[: np.argmax(t == bad)])  # a time without a sample before it fails first
         raise OutOfRange(f"t = {bad!r} outside [0, {spec.tau!r}]")
+    return spec.sample_index(t) if isinstance(spec, SampledUnitaries) else None
 
 
 def _sample_index(times: np.ndarray, t, atol: float):
@@ -245,7 +252,7 @@ def unitary_at(spec: EvolutionSpec, t) -> np.ndarray:
     giving the (k, d, d) stack of the single-time results; OutOfRange or
     GridMiss then names the first time that fails.
     """
-    _check_time(spec, t)
+    index = _check_time(spec, t)
     if isinstance(spec, StaticHamiltonian):
         return eigh_exp(*spec._eigh, t)
     if isinstance(spec, RotatingFrame):
@@ -254,7 +261,7 @@ def unitary_at(spec: EvolutionSpec, t) -> np.ndarray:
         right = eigh_exp(*_SIGMA_Z_EIGH, -spec.u * t / 2)
         return _on_driven_qubit(left @ right)
     if isinstance(spec, SampledUnitaries):
-        return spec.unitaries[spec.sample_index(t)]
+        return spec.unitaries[index]
     raise TypeError(f"unknown evolution spec {type(spec).__name__}")
 
 
@@ -289,10 +296,6 @@ def density_path(rho0: DensityOperator, spec: EvolutionSpec, grid: TimeGrid) -> 
     if rho0.dim != spec.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} vs evolution dim {spec.dim}")
     times = grid.times
-    bad = first_time_outside(times, spec.tau)
-    if isinstance(spec, SampledUnitaries):
-        # A time without a sample before the first time out of range fails first.
-        spec.sample_index(times if bad is None else times[: np.argmax(times == bad)])
     _check_time(spec, times)
 
     def frames(start, stop):

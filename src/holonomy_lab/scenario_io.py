@@ -9,7 +9,6 @@ sequences to assemble. Complex entries are written as [re, im] pairs.
 
 from __future__ import annotations
 
-import gc
 import math
 from collections.abc import Hashable
 from dataclasses import dataclass, field, replace
@@ -344,28 +343,8 @@ def load_scenario(path: str, base_tol: float = DEFAULT_TOL) -> ScenarioConfig:
     """Read and validate a scenario file; parse errors name the line.
 
     The text is read by ``_read_yaml``, which builds the data straight
-    from the YAML parser's events, with no node graph in between. The
-    cyclic garbage collector is paused for the load and then put back as
-    it was found. The lists and mappings that the reader and the
-    validation build hold no reference cycles, so reference counting
-    frees them, and the collector's repeated scans of them only cost
-    time. A file that aliases a list into itself does build a cycle; the
-    collector frees it once it is back on.
+    from the YAML parser's events, with no node graph in between.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _load(path, base_tol)
-    except ScenarioFormatError as exc:
-        # The traceback's frames hold the parsed data; dropping them here frees it by
-        # reference counting, before the collector is back to scan it.
-        raise exc.with_traceback(None)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _load(path: str, base_tol: float) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -411,9 +390,6 @@ def _read_yaml(text: str):
     loader = _LOADER(text)
     try:
         return _build(loader)
-    except yaml.YAMLError as exc:
-        # The traceback's frames hold the partial data; dropping them frees it by reference counting.
-        raise exc.with_traceback(None)
     finally:
         loader.dispose()
 

@@ -221,19 +221,16 @@ def variant_form_X12(s: BellScenario) -> np.ndarray:
     ground truth and the report records the distance between the two.
     """
     _, _, phi_plus, phi_minus = bell_basis()
-    eps = s.epsilon
+    p1, p2 = 1 / (1 + s.epsilon), s.epsilon / (1 + s.epsilon)  # the mixture weights; no (1 + eps)**2 to overflow
     pp = _outer(phi_plus, phi_plus)
     mm = _outer(phi_minus, phi_minus)
     if s.variant == "static":
-        return -(pp + mm) / (1 + eps) ** 2
+        return -(pp + mm) * p1**2
     gamma = gauge_angle(s, s.tau)
     c, si = np.cos(gamma), np.sin(gamma)
     pm = _outer(phi_plus, phi_minus)
     mp = _outer(phi_minus, phi_plus)
-    return (
-        -(c**2 + eps * si**2) * (pp + eps * mm)
-        + 1j * np.sqrt(eps) * (1 - eps) * si * c * (pm - mp)
-    ) / (1 + eps) ** 2
+    return -(c**2 * p1 + si**2 * p2) * (p1 * pp + p2 * mm) + 1j * np.sqrt(p1 * p2) * (p1 - p2) * si * c * (pm - mp)
 
 
 def bell_paths(s: BellScenario):

@@ -56,8 +56,10 @@ class DensityOperator:
     def pure(cls, vector) -> "DensityOperator":
         v = np.asarray(vector, dtype=complex).reshape(-1)
         # Scale by a power of two that brings the largest part below 1, so the norm cannot
-        # overflow; the scaling is exact, so the unit vector below does not change.
-        v = v * np.ldexp(1.0, -np.frexp(np.maximum(abs(v.real), abs(v.imag)).max(initial=0.0))[1])
+        # overflow; the scaling is exact, so the unit vector below does not change. Each part
+        # is scaled on its own: for subnormal entries the factor itself would overflow.
+        e = -np.frexp(np.maximum(abs(v.real), abs(v.imag)).max(initial=0.0))[1]
+        v = np.ldexp(v.real, e) + 1j * np.ldexp(v.imag, e)
         n = np.linalg.norm(v)
         if n == 0.0:
             raise InvalidState("cannot build a state from the zero vector")

@@ -291,6 +291,7 @@ _ONE_OBSERVABLE = "invariants: [[1], [2], [1, 2]]\nobservables:\n  A: [[1, 0], [
         (1, "states[1]", _TWO_QUBIT_STATES.replace("vector: [1, 0]", "matrix: [[0.5, 1.0e+308], [0, 0.5]]")
          + _SIGMA_Z_QUBIT + _ONE_OBSERVABLE),
         (0, None, _TWO_QUBIT_STATES.replace("[1, 0]", "[1.0e+308, 1]") + _SIGMA_Z_QUBIT + _ONE_OBSERVABLE),
+        (0, None, _TWO_QUBIT_STATES.replace("[1, 0]", "[1.0e-320, 0]") + _SIGMA_Z_QUBIT + _ONE_OBSERVABLE),
         (1, "states[1].eigenvectors",
          _TWO_QUBIT_STATES.replace("vector: [1, 0]", "eigenvalues: [0.5, 0.5]\n    eigenvectors: [[1, 0], [1.0e+308, 1]]")
          + _SIGMA_Z_QUBIT + _ONE_OBSERVABLE),
@@ -300,8 +301,8 @@ _ONE_OBSERVABLE = "invariants: [[1], [2], [1, 2]]\nobservables:\n  A: [[1, 0], [
          + _ONE_OBSERVABLE),
         (0, None, _TWO_QUBIT_STATES + _SIGMA_Z_QUBIT + _ONE_OBSERVABLE.replace("[[1, 0]", "[[1.0e+308, 0]")),
     ],
-    ids=["states.matrix", "states.vector", "states.eigenvectors", "evolution.hamiltonian", "evolution.unitaries",
-         "observables"],
+    ids=["states.matrix", "states.vector", "states.vector-subnormal", "states.eigenvectors",
+         "evolution.hamiltonian", "evolution.unitaries", "observables"],
 )
 def test_an_entry_near_the_float_limit_runs_or_exits_one_naming_its_field(tmp_path, capsys, code, field, body):
     path = tmp_path / "huge.yaml"
@@ -313,6 +314,34 @@ def test_an_entry_near_the_float_limit_runs_or_exits_one_naming_its_field(tmp_pa
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {field}: "), err
     else:
         assert err == "" and "X_12" in out
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+@pytest.mark.parametrize("scenario", ["bell-static", "bell-rotating"])
+@pytest.mark.parametrize("epsilon", ["1e155", "1e300"])
+def test_a_huge_epsilon_runs_with_finite_numbers(tmp_path, capsys, scenario, epsilon):
+    code, out, err = run_cli(capsys, "run", "--scenario", scenario, "--epsilon", epsilon, "--steps", "20",
+                             "--format", "json")
+    assert (code, err) == (0, ""), err
+    report = json.loads(out)
+    assert report["forms"]["variant_form_distance"] == pytest.approx(1.0)
+    assert all(np.isfinite(_numbers(report)))
+    path = tmp_path / "preset.yaml"
+    path.write_text(f"format_version: 1\nscenario: {scenario}\nepsilon: {epsilon}\nsteps: 20\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--scenario", str(path), "--format", "json")
+    assert (code, err) == (0, ""), err
+    assert all(np.isfinite(_numbers(json.loads(out))))
+    code, out, err = run_cli(capsys, "sweep", "--scenario", scenario, "--parameter", "epsilon",
+                             "--values", f"0.5,{epsilon}", "--steps", "20")
+    assert (code, err) == (0, ""), err
+    assert len(out.strip().splitlines()) == 3
 
 
 @pytest.mark.parametrize("command", [

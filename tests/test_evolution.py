@@ -345,6 +345,17 @@ def test_array_times_name_the_first_grid_miss():
         spec.sample_index(query[[0, 3, 1]])
 
 
+def test_array_times_name_the_first_failing_time_of_either_kind():
+    grid = TimeGrid.uniform(1.0, 4)
+    spec = SampledUnitaries(tuple(unitary_exp(SIGMA_X, float(t)) for t in grid.times), grid)
+    with pytest.raises(GridMiss, match=r"^t = 0\.1 is not a sample point"):
+        unitary_at(spec, np.array([0.0, 0.1, 0.25, 2.0]))
+    with pytest.raises(OutOfRange, match=r"^t = 2\.0 outside \[0, 1\.0\]$"):
+        unitary_at(spec, np.array([0.0, 2.0, 0.1]))
+    with pytest.raises(OutOfRange, match=r"^t = 2\.0 outside"):
+        unitary_at(spec, np.asarray(2.0))
+
+
 def test_array_sample_index_matches_the_scalar_lookup():
     # Times within the slack of a sample, including the accumulated tau.
     spec = _warped_sampled_spec(7.3, 50)

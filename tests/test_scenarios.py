@@ -190,6 +190,29 @@ def test_variant_order_two_form_agrees_only_at_unit_weight():
     assert op_norm(closed_form_invariants(sr)[2] - variant_form_X12(sr)) < 1e-12
 
 
+def _variant_form_over_one_plus_eps_squared(s):
+    """The variant form with (1 + eps)**2 as its denominator; that square overflows from eps ~ 1.3e154."""
+    eps, pp, mm = s.epsilon, dyad(PHI_PLUS, PHI_PLUS), dyad(PHI_MINUS, PHI_MINUS)
+    if s.variant == "static":
+        return -(pp + mm) / (1 + eps) ** 2
+    g = gauge_angle(s, s.tau)
+    c, si = np.cos(g), np.sin(g)
+    pm, mp = dyad(PHI_PLUS, PHI_MINUS), dyad(PHI_MINUS, PHI_PLUS)
+    form = -(c**2 + eps * si**2) * (pp + eps * mm) + 1j * np.sqrt(eps) * (1 - eps) * si * c * (pm - mp)
+    return form / (1 + eps) ** 2
+
+
+@pytest.mark.parametrize("variant", ["static", "rotating"])
+def test_variant_form_in_the_mixture_weights_is_finite_at_any_weight(variant):
+    for eps in (0.0, 0.5, 1.0, 2.0, 3.7, 1e10):
+        s = BellScenario(epsilon=eps, variant=variant)
+        assert op_norm(variant_form_X12(s) - _variant_form_over_one_plus_eps_squared(s)) < 1e-15
+    for eps in (1e155, 1e300):
+        s = BellScenario(epsilon=eps, variant=variant)
+        assert np.isfinite(variant_form_X12(s)).all()
+        assert op_norm(closed_form_invariants(s)[2] - variant_form_X12(s)) == pytest.approx(1.0)
+
+
 def test_rotating_closed_form_against_transport_ode():
     # Independent oracle: integrate dW/dt = G W with the Hermitian G from
     # drho/dt = G rho + rho G restricted to the moving support. The result

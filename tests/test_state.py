@@ -48,6 +48,10 @@ def test_pure_state_of_a_vector_near_the_float_limit():
     assert np.allclose(DensityOperator.pure(np.array([1e308, 1.0])).matrix, np.diag([1.0, 0.0]), rtol=0, atol=1e-300)
     both = DensityOperator.pure(np.array([1.7e308, 1.7e308j])).matrix
     assert np.allclose(both, np.array([[1, -1j], [1j, 1]]) / 2, atol=1e-15)
+    for tiny in ([1e-320, 0], [5e-324, 0]):  # subnormal entries
+        assert np.allclose(DensityOperator.pure(np.array(tiny)).matrix, np.diag([1.0, 0.0]), rtol=0, atol=1e-15)
+    both = DensityOperator.pure(np.array([1e-310, 1e-310j])).matrix
+    assert np.allclose(both, np.array([[1, -1j], [1j, 1]]) / 2, atol=1e-15)
     with pytest.raises(InvalidState, match="zero vector"):
         DensityOperator.pure(np.zeros(3))
 
