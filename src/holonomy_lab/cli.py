@@ -7,7 +7,6 @@ validation error, 2 numerical failure, 3 property-suite failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import replace
@@ -49,14 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _base_tol(args) -> float:
-    """The --tol flag, else HOLONOMY_LAB_TOL, else DEFAULT_TOL; 0 < tol < 1."""
-    if args.tol is not None:
-        return as_tolerance(args.tol, "--tol")
-    raw = os.environ.get("HOLONOMY_LAB_TOL")
-    return DEFAULT_TOL if raw is None else as_tolerance(raw, "HOLONOMY_LAB_TOL")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="holonomy-lab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -64,10 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--scenario", required=True, help="preset name (bell-static, bell-rotating) or scenario file path")
-        p.add_argument("--epsilon", type=float, default=None, help="Bell mixture weight override (presets only)")
-        p.add_argument("--steps", type=int, default=None, help="transport grid steps override (presets only)")
-        p.add_argument("--u", type=float, default=None, help="rotating-frame scale override (presets only)")
-        p.add_argument("--tol", type=float, default=None, help="global tolerance, 0 < tol < 1 (default HOLONOMY_LAB_TOL or 1e-9)")
+        p.add_argument("--epsilon", default=None, help="Bell mixture weight override (presets only)")
+        p.add_argument("--steps", default=None, help="transport grid steps override (presets only)")
+        p.add_argument("--u", default=None, help="rotating-frame scale override (presets only)")
+        p.add_argument("--tol", type=float, default=None, help="global tolerance, 0 < tol < 1 (default 1e-9)")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     run_p = sub.add_parser("run", help="run one scenario and emit a report")
@@ -111,7 +102,7 @@ def _isometry_entry(X, tol: float) -> object:
 
 
 def _load_config(args) -> ScenarioConfig:
-    tol = _base_tol(args)
+    tol = DEFAULT_TOL if args.tol is None else as_tolerance(args.tol, "--tol")
     if args.scenario in PRESETS:
         cfg = parse_scenario({"format_version": 1, "scenario": args.scenario}, name=args.scenario, base_tol=tol)
     else:
@@ -123,7 +114,11 @@ def _load_config(args) -> ScenarioConfig:
             flag = next(iter(flags))
             raise ScenarioFormatError(f"--{flag}: applies to preset scenarios only; {args.scenario} is not one")
         return cfg
-    cfg.preset = replace(cfg.preset, **{PRESET_PARAMETERS[name][0]: v for name, v in flags.items()})
+    overrides = {}
+    for name, value in flags.items():  # each read as its file key is, so --steps 1e3 runs 1000 steps
+        attr, convert = PRESET_PARAMETERS[name]
+        overrides[attr] = convert(value, f"--{name}")
+    cfg.preset = replace(cfg.preset, **overrides)
     return cfg
 
 

@@ -1,10 +1,12 @@
 """Scenario file loading and validation.
 
-Files are a plain nested key-value format (a YAML subset) and must carry
+Files are plain data in YAML: mappings, lists and scalars, with no
+anchors, aliases, tags or merge keys. Each must carry
 ``format_version: 1``. A file either names a preset scenario
 (``scenario: bell-static`` or ``bell-rotating`` plus parameter overrides)
 or spells out states, an evolution, a grid, and which invariant index
 sequences to assemble. Complex entries are written as [re, im] pairs.
+Every mapping takes only the keys documented for it; any other key fails.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Hashable
 from dataclasses import dataclass, field, replace
-from types import GeneratorType
 
 import numpy as np
 import yaml
@@ -32,9 +33,8 @@ PRESETS = ("bell-static", "bell-rotating")
 
 # PyYAML's safe loader, with libyaml's C parser where PyYAML was built with it.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_SEQ, _MAP, _STR, _MERGE, _VALUE = (f"tag:yaml.org,2002:{name}" for name in ("seq", "map", "str", "merge", "value"))
-# What an open collection reads next: a sequence's item, a mapping's key, or a merge key's value.
-_ITEM, _KEY, _MERGE_KEY = object(), object(), object()
+_PLAIN = "a scenario file holds only mappings, lists and scalars"
+_KEY = object()  # an open mapping's key, while its next event is a key
 
 
 @dataclass
@@ -150,6 +150,13 @@ def _as_vector(value, fieldname: str) -> np.ndarray:
     return np.array([_as_complex(v, f"{fieldname}[{j}]") for j, v in enumerate(value)], dtype=complex)
 
 
+def _known_keys(entry: dict, keys, fieldname: str = "") -> None:
+    """Fail on the first key of ``entry`` that is not one of ``keys``, so no misspelt key runs as a default."""
+    for key in entry:
+        if key not in keys:
+            _fail(f"{fieldname}.{key}" if fieldname else str(key), "unknown key")
+
+
 def _parse_state(entry, fieldname: str) -> DensityOperator:
     if not isinstance(entry, dict):
         _fail(fieldname, "expected a mapping describing one state")
@@ -157,16 +164,21 @@ def _parse_state(entry, fieldname: str) -> DensityOperator:
         if "preset" in entry:
             preset = entry["preset"]
             if preset == "bell-mixture":
+                _known_keys(entry, ("preset", "epsilon"), fieldname)
                 return bell_mixture(_as_number(entry.get("epsilon", 0.0), f"{fieldname}.epsilon"))
             if preset == "maximally-mixed":
+                _known_keys(entry, ("preset", "dimension"), fieldname)
                 dim = _as_int(entry.get("dimension", 2), f"{fieldname}.dimension")
                 return DensityOperator.maximally_mixed(dim)
             _fail(f"{fieldname}.preset", f"unknown state preset {preset!r}")
         if "matrix" in entry:
+            _known_keys(entry, ("matrix",), fieldname)
             return DensityOperator(_as_matrix(entry["matrix"], f"{fieldname}.matrix"))
         if "vector" in entry:
+            _known_keys(entry, ("vector",), fieldname)
             return DensityOperator.pure(_as_vector(entry["vector"], f"{fieldname}.vector"))
         if "eigenvalues" in entry:
+            _known_keys(entry, ("eigenvalues", "eigenvectors"), fieldname)
             lam = [
                 _as_number(v, f"{fieldname}.eigenvalues[{i}]")
                 for i, v in enumerate(_as_list(entry["eigenvalues"], f"{fieldname}.eigenvalues"))
@@ -196,6 +208,7 @@ def _parse_evolution(entry, fieldname: str):
         _fail(fieldname, "expected a mapping")
     variant = entry.get("variant")
     if variant == "static":
+        _known_keys(entry, ("variant", "hamiltonian", "tau"), fieldname)
         H = _as_matrix(entry.get("hamiltonian"), f"{fieldname}.hamiltonian")
         tau = _as_number(entry.get("tau"), f"{fieldname}.tau")
         try:
@@ -203,17 +216,19 @@ def _parse_evolution(entry, fieldname: str):
         except ValueError as exc:
             _fail(fieldname if tau > 0 else f"{fieldname}.tau", str(exc))
     if variant == "rotating":
+        _known_keys(entry, ("variant", "u"), fieldname)
         u = _as_number(entry.get("u", 1.0), f"{fieldname}.u")
         try:
             return RotatingFrame(u)
         except ValueError as exc:
             _fail(f"{fieldname}.u", str(exc))
     if variant == "sampled":
+        times = entry.get("times")  # the sample times, else tau for a uniform grid
+        _known_keys(entry, ("variant", "unitaries", "tau" if times is None else "times"), fieldname)
         mats = entry.get("unitaries")
         if not isinstance(mats, list) or len(mats) < 2:
             _fail(f"{fieldname}.unitaries", "expected a list of at least two matrices")
         us = [_as_matrix(m, f"{fieldname}.unitaries[{i}]") for i, m in enumerate(mats)]
-        times = entry.get("times")
         if times is None:
             key = f"{fieldname}.tau"
             tau = _as_number(entry.get("tau"), key)
@@ -239,6 +254,7 @@ def _parse_grid(data, spec) -> TimeGrid:
     grid_entry = data.get("grid", {})
     if not isinstance(grid_entry, dict):
         _fail("grid", "expected a mapping")
+    _known_keys(grid_entry, ("n_steps", "tau"), "grid")
     n_steps = _as_int(grid_entry.get("n_steps", 1000), "grid.n_steps")
     tau = _as_number(grid_entry.get("tau", spec.tau), "grid.tau")
     if tau > spec.tau + time_slack(spec.tau):
@@ -250,6 +266,11 @@ def _parse_grid(data, spec) -> TimeGrid:
     except (ValueError, GridMiss) as exc:
         _fail("grid", str(exc))
     return grid
+
+
+# The top-level keys of a file that names a preset, and of one that spells its scenario out.
+_PRESET_KEYS = ("format_version", "tolerances", "scenario", *PRESET_PARAMETERS)
+_FILE_KEYS = ("format_version", "tolerances", "states", "dimension", "evolution", "grid", "invariants", "observables")
 
 
 def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL) -> ScenarioConfig:
@@ -265,14 +286,13 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
     if version != 1 or isinstance(version, bool):  # True == 1
         _fail("format_version", f"expected 1, got {version!r}")
 
-    tolerances = {}
-    if "tolerances" in data:
-        if not isinstance(data["tolerances"], dict):
-            _fail("tolerances", "expected a mapping")
-        for k, v in data["tolerances"].items():
-            if k not in ("phase", "transport"):
-                _fail(f"tolerances.{k}", "unknown tolerance name")
-            tolerances[k] = as_tolerance(v, f"tolerances.{k}")
+    _known_keys(data, _PRESET_KEYS if "scenario" in data else _FILE_KEYS)
+
+    tolerances = data.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        _fail("tolerances", "expected a mapping")
+    _known_keys(tolerances, ("phase", "transport"), "tolerances")
+    tolerances = {k: as_tolerance(v, f"tolerances.{k}") for k, v in tolerances.items()}
     tolerances.setdefault("phase", base_tol)
     tolerances.setdefault("transport", base_tol)
 
@@ -359,33 +379,20 @@ def load_scenario(path: str, base_tol: float = DEFAULT_TOL) -> ScenarioConfig:
     return parse_scenario(data, name=path, base_tol=base_tol)
 
 
-class _Open:
-    """A sequence or mapping whose end event is still to come."""
-
-    __slots__ = ("data", "mark", "key", "marks", "merges")
-
-    def __init__(self, data, mark, key, marks):
-        self.data, self.mark = data, mark
-        self.key = key  # _ITEM, _KEY, _MERGE_KEY, or the key whose value comes next
-        self.marks = marks  # a sequence's item marks, kept where a merge may need them
-        self.merges = None  # a mapping's merge values, with their item marks
-
-
 def _read_yaml(text: str):
-    """The one YAML document in ``text`` as plain data, equal to ``yaml.load(text, Loader=_LOADER)``.
+    """The one YAML document in ``text`` as plain data: mappings, lists and scalars.
 
     The data is built straight from the parser's events, with no node
-    graph in between. Each scalar's tag and value come from PyYAML's own
-    resolver and constructors, and anchors, aliases, merge keys, the
-    ``=`` key, repeated keys (the last wins) and empty text (None) read
-    as with ``yaml.load``. Errors are ``yaml.YAMLError``s with a
-    ``problem_mark``; as with ``yaml.load``, a parse error wins over an
-    earlier construction error. Narrowings: a sequence or mapping with an
-    explicit tag other than ``!!seq`` or ``!!map`` (``!!set``, ``!!omap``,
-    ``!!pairs``) fails, naming the tag, and so does a mapping that merges
-    itself; a scalar that its tag's constructor cannot read fails with
-    its line instead of a bare ``ValueError``, ``KeyError`` or
-    ``AttributeError``.
+    graph in between, and equals ``yaml.load(text, Loader=_LOADER)`` on
+    every text it accepts. Each scalar's tag and value come from PyYAML's
+    own resolver and constructors; repeated keys (the last wins) and
+    empty text (None) read as with ``yaml.load``. A scenario file is
+    plain data, so an anchor, an alias or an explicit tag (``!`` included)
+    fails, and so do a merge key ``<<`` and an ``=`` key or value, whose
+    resolved tags have no constructor. Errors are ``yaml.YAMLError``s with
+    a ``problem_mark``, raised at the first problem in text order; a
+    scalar that its resolved tag's constructor cannot read (``2001-13-45``)
+    fails with its line instead of a bare ``ValueError``.
     """
     loader = _LOADER(text)
     try:
@@ -399,10 +406,7 @@ def _build(loader):
     get_event, resolve = loader.get_event, loader.resolve
     constructors = loader.yaml_constructors
     undefined = constructors[None]
-    anchors = {}  # anchor -> (value, start mark, item marks of a sequence)
-    stack = []  # the open collections, innermost last
-    merging = []  # (mapping, merge values, start mark) of each mapping with a merge key
-    error = None  # the first construction error, raised once the text has parsed
+    stack = []  # [data, key, start mark] of each open collection, innermost last
     get_event()  # stream start
     if isinstance(get_event(), yaml.StreamEndEvent):  # empty or comment-only text
         return None
@@ -410,129 +414,39 @@ def _build(loader):
         event = get_event()
         kind = event.__class__
         if kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
-            frame = stack.pop()
-            value, mark, marks = frame.data, frame.mark, frame.marks
-            if frame.merges is not None:
-                merging.append((value, frame.merges, mark))
-        elif kind is yaml.AliasEvent:
-            if event.anchor not in anchors:
-                raise ComposerError(None, None, f"found undefined alias {event.anchor!r}", event.start_mark)
-            value, mark, marks = anchors[event.anchor]
-            if isinstance(value, ScalarNode) and stack[-1].key is not _KEY:  # a merge key reused as a value
-                problem = f"could not determine a constructor for the tag {_MERGE!r}"
-                error, value = error or ConstructorError(None, None, problem, mark), None
+            value, _, mark = stack.pop()
         else:
-            anchor, mark, marks, tag = event.anchor, event.start_mark, None, event.tag
-            if anchor is not None and anchor in anchors:
-                problem = f"found duplicate anchor {anchor!r}; first occurrence"
-                raise ComposerError(problem, anchors[anchor][1], "second occurrence", mark)
+            mark = event.start_mark
+            if kind is yaml.AliasEvent or event.anchor is not None:
+                token = f"the alias *{event.anchor}" if kind is yaml.AliasEvent else f"the anchor &{event.anchor}"
+                raise ConstructorError(None, None, f"found {token}; {_PLAIN}", mark)
+            if event.tag is not None:
+                raise ConstructorError(None, None, f"found the tag {event.tag!r}; {_PLAIN}", mark)
             if kind is yaml.ScalarEvent:
-                is_key = bool(stack) and stack[-1].key is _KEY
-                if tag is None or tag == "!":
-                    tag = resolve(ScalarNode, event.value, event.implicit)
-                if is_key and tag == _VALUE:  # PyYAML reads a plain = key as the string "="
-                    tag = _STR
-                node = ScalarNode(tag, event.value, mark, event.end_mark, event.style)
-                if is_key and tag == _MERGE:
-                    value = node  # the mapping's next value is merged into it
-                else:
-                    try:
-                        value = constructors.get(tag, undefined)(loader, node)
-                        if isinstance(value, GeneratorType):  # a collection tag on a scalar: running it fails
-                            value = list(value)[0]
-                    except yaml.YAMLError as exc:
-                        error, value = error or exc.with_traceback(None), None
-                    except (ValueError, KeyError, AttributeError):  # e.g. !!int abc, !!bool maybe
-                        problem = f"cannot read {event.value!r} as {_shown(tag)}"
-                        error, value = error or ConstructorError(None, None, problem, mark), None
+                node = ScalarNode(resolve(ScalarNode, event.value, event.implicit), event.value, mark)
+                try:
+                    value = constructors.get(node.tag, undefined)(loader, node)
+                except (ValueError, KeyError, AttributeError):  # e.g. the timestamp 2001-13-45
+                    raise ConstructorError(None, None, f"cannot read {event.value!r} as {node.tag}", mark) from None
             else:
-                sequence = kind is yaml.SequenceStartEvent
-                if tag is not None and tag != "!" and tag != (_SEQ if sequence else _MAP):
-                    found = "sequence" if sequence else "mapping"
-                    problem = f"found a {found} tagged {_shown(tag)}; only !!seq and !!map are read"
-                    error = error or ConstructorError(None, None, problem, mark)
-                if sequence and (anchor is not None or (stack and stack[-1].key is _MERGE_KEY)):
-                    marks = []
-                frame = _Open([] if sequence else {}, mark, _ITEM if sequence else _KEY, marks)
-                stack.append(frame)
-                if anchor is not None:  # registered now, so the collection may alias itself
-                    anchors[anchor] = (frame.data, mark, marks)
+                stack.append([[] if kind is yaml.SequenceStartEvent else {}, _KEY, mark])
                 continue
-            if anchor is not None:
-                anchors[anchor] = (value, mark, None)
         if not stack:
             break
         top = stack[-1]
-        key = top.key
-        if key is _ITEM:
-            top.data.append(value)
-            if top.marks is not None:
-                top.marks.append(mark)
-        elif key is _KEY:
-            if isinstance(value, ScalarNode):
-                top.key = _MERGE_KEY
-            elif isinstance(value, Hashable):
-                top.key = value
-            else:
-                problem = "found unhashable key"
-                error = error or ConstructorError("while constructing a mapping", top.mark, problem, mark)
-                top.key = None
-        elif key is _MERGE_KEY:
-            top.key = _KEY
-            if not isinstance(value, (dict, list)):
-                problem = "expected a mapping or list of mappings for merging, but found scalar"
-                error = error or ConstructorError("while constructing a mapping", top.mark, problem, mark)
-            if top.merges is None:
-                top.merges = []
-            top.merges.append((value, marks))
+        data, key = top[0], top[1]
+        if data.__class__ is list:
+            data.append(value)
+        elif key is not _KEY:
+            data[key] = value
+            top[1] = _KEY
+        elif isinstance(value, Hashable):
+            top[1] = value
         else:
-            top.data[key] = value
-            top.key = _KEY
+            raise ConstructorError("while constructing a mapping", top[2], "found unhashable key", mark)
     get_event()  # document end
     event = get_event()
     if not isinstance(event, yaml.StreamEndEvent):
         problem = "but found another document"
         raise ComposerError("expected a single document in the stream", mark, problem, event.start_mark)
-    if error is not None:
-        raise error
-    _complete_merges(merging)
     return value
-
-
-def _shown(tag: str) -> str:
-    return tag.replace("tag:yaml.org,2002:", "!!")
-
-
-def _complete_merges(merging) -> None:
-    """Put each mapping's merged keys before its own, as PyYAML does; its own keys win.
-
-    Runs once every collection is read, so a merged mapping or list is
-    whole even if it was still open at its merge key, and completes a
-    merged mapping before the mappings that merge it.
-    """
-    pending = {}
-    for data, merges, mark in merging:
-        sources = []  # PyYAML's order: a list's mappings last to first, each merge key's after the one before
-        for value, marks in merges:
-            if isinstance(value, dict):
-                sources.append(value)
-                continue
-            for item, item_mark in zip(value, marks):
-                if not isinstance(item, dict):
-                    found = "sequence" if isinstance(item, list) else "scalar"
-                    problem = f"expected a mapping for merging, but found {found}"
-                    raise ConstructorError("while constructing a mapping", mark, problem, item_mark)
-            sources.extend(reversed(value))
-        pending[id(data)] = (data, sources, mark)
-    while pending:
-        ready = [k for k, (_, sources, _) in pending.items() if not any(id(m) in pending for m in sources)]
-        if not ready:
-            mark = next(iter(pending.values()))[2]
-            raise ConstructorError("while constructing a mapping", mark, "found a mapping that merges itself", mark)
-        for k in ready:
-            data, sources, _ = pending.pop(k)
-            own = list(data.items())
-            data.clear()
-            for source in sources:
-                data.update(source)
-            data.update(own)

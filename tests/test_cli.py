@@ -1,7 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
+import yaml
 
 from holonomy_lab.cli import main
 from holonomy_lab.evolution import TimeGrid
@@ -251,9 +253,9 @@ _BELL_STATE = "format_version: 1\nstates:\n  - preset: bell-mixture\n    epsilon
 @pytest.mark.parametrize(
     "field, argv, body",
     [
-        ("u", ("run", "--scenario", "bell-rotating", "--u", "nan"), None),
-        ("u", ("run", "--scenario", "bell-rotating", "--u", "inf"), None),
-        ("epsilon", ("run", "--scenario", "bell-static", "--epsilon", "nan"), None),
+        ("--u", ("run", "--scenario", "bell-rotating", "--u", "nan"), None),
+        ("--u", ("run", "--scenario", "bell-rotating", "--u", "inf"), None),
+        ("--epsilon", ("run", "--scenario", "bell-static", "--epsilon", "nan"), None),
         ("values", ("sweep", "--scenario", "bell-static", "--parameter", "u", "--values", "1,nan"), None),
         ("evolution.tau", ("run",), _MIXED_QUBIT + _STATIC_QUBIT.replace("tau: 1.0", "tau: .nan")),
         ("evolution.tau", ("run",), _MIXED_QUBIT + _STATIC_QUBIT.replace("tau: 1.0", "tau: .inf")),
@@ -705,23 +707,6 @@ def test_shipped_example_scenario(capsys):
     assert "nu[phi_plus_projector]" in by_name["X_12"]
 
 
-def test_env_var_sets_global_tolerance(capsys, monkeypatch):
-    # A huge global tolerance pushes |Tr X12| <= 5/9 below the phase threshold.
-    monkeypatch.setenv("HOLONOMY_LAB_TOL", "0.6")
-    code, out, _ = run_cli(
-        capsys, "run", "--scenario", "bell-static", "--steps", "50", "--format", "json"
-    )
-    assert code == 0
-    report = json.loads(out)
-    assert report["invariants"][2]["nu"] == "undefined"
-    # An explicit flag wins over the environment.
-    code, out, _ = run_cli(
-        capsys, "run", "--scenario", "bell-static", "--steps", "50",
-        "--format", "json", "--tol", "1e-9",
-    )
-    assert json.loads(out)["invariants"][2]["nu"] != "undefined"
-
-
 # ------------------------------------------------------------------- tolerances
 
 def test_run_tolerance_near_one_truncates_to_rank_one(capsys):
@@ -766,14 +751,6 @@ def test_run_rejects_tol_flag_outside_unit_interval(capsys, value):
     assert err.startswith("error: --tol: expected a finite number with 0 < tol < 1")
 
 
-@pytest.mark.parametrize("value", _BAD_TOLERANCES)
-def test_run_rejects_env_tolerance_outside_unit_interval(capsys, monkeypatch, value):
-    monkeypatch.setenv("HOLONOMY_LAB_TOL", value)
-    code, out, err = run_cli(capsys, "run", "--scenario", "bell-static")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: HOLONOMY_LAB_TOL: expected a finite number with 0 < tol < 1")
-
-
 @pytest.mark.parametrize("name", ["phase", "transport"])
 @pytest.mark.parametrize("value", _BAD_TOLERANCES)
 def test_run_rejects_file_tolerance_outside_unit_interval(tmp_path, capsys, name, value):
@@ -796,7 +773,7 @@ def test_run_rejects_support_tolerance(tmp_path, capsys):
     path = tmp_path / "tol.yaml"
     path.write_text("format_version: 1\nscenario: bell-static\ntolerances:\n  support: 1e-9\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "run", "--scenario", str(path))
-    assert (code, out, err) == (1, "", "error: tolerances.support: unknown tolerance name\n")
+    assert (code, out, err) == (1, "", "error: tolerances.support: unknown key\n")
 
 
 def test_run_rejects_eigenvectors_off_by_more_than_tol(tmp_path, capsys):
@@ -809,3 +786,143 @@ def test_run_rejects_eigenvectors_off_by_more_than_tol(tmp_path, capsys):
     )
     code, out, err = run_cli(capsys, "run", "--scenario", str(path))
     assert (code, out, err) == (1, "", "error: states[0].eigenvectors: must be orthonormal\n")
+
+
+# ------------------------------------------------------------------- scenario files
+
+_QUBIT = _MIXED_QUBIT + _STATIC_QUBIT
+_IDENTITY_4 = "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]"
+_STATES = "format_version: 1\nstates:\n"
+
+
+@pytest.mark.parametrize(
+    "command, body, error",
+    [
+        ("run", "- 1\n", "file: top level must be a mapping"),
+        ("run", "format_version: 1\nscenario: bell-static\ntolerances: 1e-9\n", "tolerances: expected a mapping"),
+        ("run", _MIXED_QUBIT + "  - preset: bell-mixture\n" + _STATIC_QUBIT, "states: states differ in dimension: [2, 4]"),
+        ("run", _MIXED_QUBIT, "evolution: required for non-preset scenarios"),
+        ("run", _MIXED_QUBIT + "evolution: static\n", "evolution: expected a mapping"),
+        ("run", _BELL_STATE + _STATIC_QUBIT, "evolution: evolution dimension 2 vs states 4"),
+        ("run", _MIXED_QUBIT + "evolution:\n  variant: sampled\n  tau: 1.0\n  unitaries: [[[1, 0], [0, 1]]]\n",
+         "evolution.unitaries: expected a list of at least two matrices"),
+        ("run", _QUBIT + "grid: 10\n", "grid: expected a mapping"),
+        ("run", _QUBIT + "grid: {tau: 2.0}\n", "grid.tau: grid end 2.0 exceeds evolution duration 1.0"),
+        ("run", _QUBIT + "invariants: []\n", "invariants: expected a non-empty list of index sequences"),
+        ("run", _QUBIT + "invariants: [[]]\n", "invariants[0]: expected a non-empty index sequence"),
+        ("run", _QUBIT + "observables: [1]\n", "observables: expected a mapping of name -> matrix"),
+        ("run", _QUBIT + f"observables:\n  A: {_IDENTITY_4}\n", "observables.A: dimension 4 vs states 2"),
+        ("run", _QUBIT.replace("[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]", "[]"),
+         "evolution.hamiltonian: expected a non-empty list of rows"),
+        ("run", _QUBIT.replace("[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]", "[1, 0]"),
+         "evolution.hamiltonian[0]: expected a list of entries"),
+        ("run", _QUBIT.replace("[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]", "[[1, 0]]"),
+         "evolution.hamiltonian: expected a square matrix, got shape (1, 2)"),
+        ("run", _STATES + "  - vector: []\n" + _STATIC_QUBIT, "states[0].vector: expected a non-empty list of entries"),
+        ("run", _STATES + "  - preset: thermal\n" + _STATIC_QUBIT, "states[0].preset: unknown state preset 'thermal'"),
+        ("run", _STATES + "  - eigenvalues: [1, 0]\n" + _STATIC_QUBIT,
+         "states[0].eigenvectors: required alongside eigenvalues"),
+        ("run", _STATES + "  - epsilon: 0.5\n" + _STATIC_QUBIT,
+         "states[0]: needs one of: preset, matrix, vector, eigenvalues"),
+        ("sweep", _QUBIT, "sweep: only preset scenarios can be swept"),
+    ],
+    ids=["top-level", "tolerances", "state-dimensions", "evolution-missing", "evolution-not-a-mapping",
+         "evolution-dimension", "one-unitary", "grid-not-a-mapping", "grid-tau", "invariants-empty",
+         "invariant-empty", "observables-not-a-mapping", "observable-dimension", "matrix-empty", "matrix-row",
+         "matrix-not-square", "vector-empty", "state-preset", "eigenvectors-missing", "state-form", "sweep-file"],
+)
+def test_a_bad_scenario_file_exits_one_naming_its_field(tmp_path, capsys, command, body, error):
+    path = tmp_path / "bad.yaml"
+    path.write_text(body, encoding="utf-8")
+    argv = (command, "--scenario", str(path))
+    if command == "sweep":
+        argv += ("--parameter", "epsilon", "--values", "0.5")
+    assert run_cli(capsys, *argv) == (1, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "body, field",
+    [
+        ("format_version: 1\nscenario: bell-static\nepsilom: 0.9\n", "epsilom"),
+        ("format_version: 1\nscenario: bell-static\nstates: 5\n", "states"),
+        (_QUBIT + "invariant: [[1]]\n", "invariant"),
+        (_QUBIT + "steps: 10\n", "steps"),
+        (_QUBIT + "grid: {n_step: 10}\n", "grid.n_step"),
+        (_QUBIT.replace("  tau: 1.0\n", "  tau: 1.0\n  u: 2\n"), "evolution.u"),
+        (_MIXED_QUBIT + "evolution:\n  variant: rotating\n  tau: 1.0\n", "evolution.tau"),
+        (_MIXED_QUBIT + _SAMPLED_QUBIT.replace("  tau: 1.0\n", "  tau: 1.0\n  times: [0, 0.5, 1]\n"), "evolution.tau"),
+        (_STATES + "  - matrix: [[1, 0], [0, 0]]\n    vector: [0, 1]\n" + _STATIC_QUBIT, "states[0].vector"),
+        (_STATES + "  - preset: maximally-mixed\n    epsilon: 0.5\n" + _STATIC_QUBIT, "states[0].epsilon"),
+        (_STATES + "  - eigenvalues: [1, 0]\n    eigenvectors: [[1, 0], [0, 1]]\n    vectors: 1\n" + _STATIC_QUBIT,
+         "states[0].vectors"),
+    ],
+    ids=["preset-misspelt", "preset-states", "file-misspelt", "file-steps", "grid", "static", "rotating",
+         "sampled-times-and-tau", "matrix-and-vector", "state-preset", "eigen-data"],
+)
+def test_an_unknown_key_exits_one_naming_it(tmp_path, capsys, body, field):
+    path = tmp_path / "unknown.yaml"
+    path.write_text(body, encoding="utf-8")
+    assert run_cli(capsys, "run", "--scenario", str(path)) == (1, "", f"error: {field}: unknown key\n")
+
+
+def test_steps_read_alike_as_flag_file_key_and_sweep_value(tmp_path, capsys):
+    code, flag_out, err = run_cli(capsys, "run", "--scenario", "bell-static", "--steps", "2e2", "--format", "csv")
+    assert (code, err) == (0, "")
+    path = tmp_path / "steps.yaml"
+    path.write_text("format_version: 1\nscenario: bell-static\nsteps: 2e2\n", encoding="utf-8")
+    code, file_out, err = run_cli(capsys, "run", "--scenario", str(path), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert file_out.replace(str(path), "bell-static") == flag_out
+    report = dict(line.split(",", 1) for line in flag_out.splitlines()[1:])
+    assert report["parameters.steps"] == "200"
+    code, sweep_out, err = run_cli(capsys, "sweep", "--scenario", "bell-static", "--parameter", "steps",
+                                   "--values", "2e2")
+    assert (code, err) == (0, "")
+    row = sweep_out.splitlines()[1].split(",")
+    assert row[:3] == ["200", report["invariants.0.trace_magnitude"], report["invariants.2.trace_magnitude"]]
+
+
+def test_an_eigen_data_state_is_its_matrix(tmp_path, capsys):
+    from holonomy_lab.scenario_io import parse_scenario
+
+    theta, phi = 0.3, 1.1
+    c, s, e = np.cos(theta), np.sin(theta), np.exp(1j * phi)
+    V = np.array([[c, -s / e], [s * e, c]])  # a complex rotated eigenbasis, one eigenvector per column
+    lam = [0.7, 0.3]
+    # (V diag(lam) V^dag), written out entry by entry.
+    m = np.array([[0.7 * c * c + 0.3 * s * s, 0.4 * c * s / e], [0.4 * c * s * e, 0.7 * s * s + 0.3 * c * c]])
+
+    def pair(z):
+        return f"[{float(z.real)!r}, {float(z.imag)!r}]"
+
+    vectors = "[" + ", ".join("[" + ", ".join(pair(z) for z in col) + "]" for col in V.T) + "]"
+    matrix = "[" + ", ".join("[" + ", ".join(pair(z) for z in row) + "]" for row in m) + "]"
+    tail = _SIGMA_Z_QUBIT + "invariants: [[1], [1, 2]]\n"
+    second = "  - vector: [[0.6, 0], [0, 0.8]]\n"
+    eigen = f"{_STATES}  - eigenvalues: {lam}\n    eigenvectors: {vectors}\n{second}{tail}"
+    dense = f"{_STATES}  - matrix: {matrix}\n{second}{tail}"
+    state = parse_scenario(yaml.safe_load(eigen)).states[0]
+    assert np.abs(state.matrix - m).max() < 1e-15
+    path = tmp_path / "state.yaml"
+    reports = []
+    for body in (eigen, dense):
+        path.write_text(body, encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", "--scenario", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+def _readme_yaml_blocks():
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```yaml\n(.*?)```", text, flags=re.S)
+
+
+@pytest.mark.parametrize("block", _readme_yaml_blocks(), ids=lambda block: block.splitlines()[1].split(":")[0])
+def test_each_readme_scenario_runs(tmp_path, capsys, block):
+    path = tmp_path / "readme.yaml"
+    path.write_text(block, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--scenario", str(path))
+    assert (code, err) == (0, ""), err

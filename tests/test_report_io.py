@@ -420,7 +420,7 @@ def _rotation_file(tmp_path, tail: str, samples: int = 400) -> str:
     "tail, error",
     [("invariants: [[1], [2], [1, 2]]\n", None),
      ("invariants: [[1, 2]\n", r"^line \d+: "),
-     ("invariants: !!set {1, 2}\n", r"^line \d+: found a mapping tagged !!set"),
+     ("invariants: !!set {1, 2}\n", r"^line 410: found the tag 'tag:yaml.org,2002:set'"),
      ("invariants: [[1, 3]]\n", r"^invariants\[0\]: index 3 out of range")],
     ids=["good", "yaml-error", "tag-error", "field-error"],
 )
@@ -435,8 +435,8 @@ def test_load_scenario_reads_a_400_sample_file(tmp_path, tail, error):
     assert gc.isenabled() is enabled  # the loader leaves the cyclic collector as it found it
 
 
-def test_a_self_referential_alias_fails_naming_the_field(tmp_path):
+def test_a_self_referential_alias_fails_naming_its_line(tmp_path):
     path = _preset_file(tmp_path, "format_version: 1\nstates: &a [*a]\n")
-    with pytest.raises(ScenarioFormatError, match=r"^states\[0\]: expected a mapping"):
+    with pytest.raises(ScenarioFormatError, match=r"^line 2: found the anchor &a;"):
         load_scenario(path)
     assert gc.isenabled()
