@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from holonomy_lab import scenario_io
 from holonomy_lab.cli import main
+from holonomy_lab.errors import ScenarioFormatError
 from holonomy_lab.scenario_io import _read_yaml, load_scenario
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
@@ -131,6 +132,51 @@ def test_anchors_aliases_tags_and_merge_keys_fail_on_their_line(tmp_path, capsys
     code, out, err = _run_file(tmp_path, capsys, text)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: line {line}: ") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "body, tag",
+    [("!!set {x, y}", "!!set"), ("!!omap [x: 1]", "!!omap"), ("!!pairs [x: 1, x: 2]", "!!pairs")],
+)
+def test_an_explicit_collection_tag_other_than_seq_or_map_fails_naming_it(tmp_path, loader, body, tag):
+    text = f"format_version: 1\nscenario: {body}\n"
+    assert yaml.load(text, Loader=loader)["scenario"]  # yaml.load builds a set or a list of tuples
+    full = tag.replace("!!", "tag:yaml.org,2002:")
+    with pytest.raises(yaml.constructor.ConstructorError, match=full) as caught:
+        _read_yaml(text)
+    assert caught.value.problem_mark.line == 1
+    path = tmp_path / "tagged.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ScenarioFormatError, match=rf"^line 2: found the tag '{full}';"):
+        load_scenario(str(path))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a: &a {<<: *a}\n", "l: &l [{<<: *l}, {a: 1}]\n", "r: &r {p: &x {<<: *r}, <<: *x}\n"],
+    ids=["itself", "through-a-list", "cycle"],
+)
+def test_a_mapping_that_merges_itself_fails(text, loader):
+    # yaml.load merges such a mapping's keys as far as it has read them (here {'a': {}}); the reader refuses
+    # the file at its first anchor.
+    yaml.load(text, Loader=loader)
+    with pytest.raises(yaml.constructor.ConstructorError, match="found the anchor &") as caught:
+        _read_yaml(text)
+    assert caught.value.problem_mark.line == 0
+
+
+@pytest.mark.parametrize(
+    "text, raised",
+    [("a: !!bool maybe\n", KeyError), ("a: !!int abc\n", ValueError), ("a: !!timestamp soon\n", AttributeError)],
+    ids=["bool", "int", "timestamp"],
+)
+def test_unreadable_tagged_scalars_fail_naming_their_line(tmp_path, loader, text, raised):
+    with pytest.raises(raised):  # yaml.load's own error carries no line
+        yaml.load(text, Loader=loader)
+    path = tmp_path / "scalar.yaml"
+    path.write_text("format_version: 1\n" + text, encoding="utf-8")
+    with pytest.raises(ScenarioFormatError, match=r"^line 2: found the tag 'tag:yaml.org,2002:\w+';"):
+        load_scenario(str(path))
 
 
 def test_an_unreadable_scalar_fails_naming_its_line(tmp_path, capsys, loader):
