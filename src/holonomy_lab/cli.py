@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", default=None, help="Bell mixture weight override (presets only)")
         p.add_argument("--steps", default=None, help="transport grid steps override (presets only)")
         p.add_argument("--u", default=None, help="rotating-frame scale override (presets only)")
-        p.add_argument("--tol", type=float, default=None, help="global tolerance, 0 < tol < 1 (default 1e-9)")
+        p.add_argument("--tol", default=None, help="global tolerance, 0 < tol < 1 (default 1e-9)")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
     run_p = sub.add_parser("run", help="run one scenario and emit a report")

@@ -10,13 +10,11 @@ from .errors import DimensionMismatch, GridMiss, NotUnitary, OutOfRange
 from .linalg import (
     DEFAULT_TOL,
     as_square_matrix,
-    dagger,
     eigh_exp,
     first_non_isometry,
     first_norm_above,
     first_skew_above,
     hermitian_eigh,
-    hermitian_part,
 )
 from .state import DensityOperator, DensityPath
 
@@ -108,25 +106,22 @@ class StaticHamiltonian:
 class RotatingFrame:
     """Resonant spin-flipper drive on the first qubit of two, with free scale u > 0 and pi/u finite.
 
-    The propagator is the closed-form product
+    With a = u t / 2 and H_eff = -(u/2) sigma_x, the propagator on [0, tau], tau = pi / u, and its
+    instantaneous Hermitian generator (``rotating_generator``) are, each (x) identity on the second qubit,
 
-        U(t) = exp(+i t H_eff) exp(+i u t sigma_z / 2)  (x) identity,
-        H_eff = -(u/2) sigma_x,
+        U(t) = exp(+i t H_eff) exp(+i a sigma_z) = (cos a - i sin a sigma_x) diag(e^{ia}, e^{-ia}),
+        H(t) = i dU/dt U^dag = (u/2)(sigma_x - cos(u t) sigma_z + sin(u t) sigma_y).
 
-    on [0, tau] with tau = pi / u. The relative phases of the two factors
-    are fixed so that the closed-form ancilla gauge of the Bell scenarios
-    solves the parallel transport equation; see ``rotating_generator`` for
-    the instantaneous Hermitian generator of this family.
+    The relative phases of the two factors are fixed so that the closed-form
+    ancilla gauge of the Bell scenarios solves the parallel transport equation.
     """
 
     u: float
-    _eigh: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # u > 0 first: pi/u of a tiny u overflows to inf, of u = inf is 0.
         if not (self.u > 0 and 0 < np.pi / float(self.u) < np.inf):
             raise ValueError("the free scale u must be positive, with a finite tau = pi/u")
-        object.__setattr__(self, "_eigh", hermitian_eigh(self.effective_hamiltonian))
 
     @property
     def tau(self) -> float:
@@ -183,11 +178,9 @@ class SampledUnitaries:
 EvolutionSpec = StaticHamiltonian | RotatingFrame | SampledUnitaries
 
 
-_SIGMA_Z_EIGH = hermitian_eigh(SIGMA_Z)
-
-
-def _on_driven_qubit(a: np.ndarray) -> np.ndarray:
-    """kron(a, identity_2), also on a stack, with np.kron's products but without its overhead."""
+def _on_driven_qubit(rows) -> np.ndarray:
+    """kron(np.array(rows), identity_2) without np.kron's overhead; entries of shape (k,) give a (k, 4, 4) stack."""
+    a = np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
     eye = np.eye(2, dtype=complex)
     return (a[..., :, None, :, None] * eye[:, None, :]).reshape(a.shape[:-2] + (4, 4))
 
@@ -256,10 +249,10 @@ def unitary_at(spec: EvolutionSpec, t) -> np.ndarray:
     if isinstance(spec, StaticHamiltonian):
         return eigh_exp(*spec._eigh, t)
     if isinstance(spec, RotatingFrame):
-        # exp(+i t H_eff) exp(+i u t sigma_z / 2) on the driven qubit.
-        left = eigh_exp(*spec._eigh, -t)
-        right = eigh_exp(*_SIGMA_Z_EIGH, -spec.u * t / 2)
-        return _on_driven_qubit(left @ right)
+        # (cos a - i sin a sigma_x) diag(e^{ia}, e^{-ia}) on the driven qubit.
+        a = spec.u * t / 2
+        c, s, e = np.cos(a), np.sin(a), np.exp(1j * a)
+        return _on_driven_qubit([[c * e, -1j * s * e.conj()], [-1j * s * e, c * e.conj()]])
     if isinstance(spec, SampledUnitaries):
         return spec.unitaries[index]
     raise TypeError(f"unknown evolution spec {type(spec).__name__}")
@@ -274,10 +267,9 @@ def rotating_generator(spec: RotatingFrame, t) -> np.ndarray:
     """
     if not isinstance(spec, RotatingFrame):
         raise TypeError("rotating_generator needs a RotatingFrame spec")
-    heff = spec.effective_hamiltonian
-    R = eigh_exp(*spec._eigh, -t)  # exp(+i t H_eff)
-    h = -heff - (spec.u / 2) * (R @ SIGMA_Z @ dagger(R))
-    return _on_driven_qubit(hermitian_part(h))
+    # (u/2)(sigma_x - cos(u t) sigma_z + sin(u t) sigma_y): conjugate off-diagonals, real diagonal.
+    c, s = np.cos(spec.u * t), np.sin(spec.u * t)
+    return (spec.u / 2) * _on_driven_qubit([[-c, 1 - 1j * s], [1 + 1j * s, c]])
 
 
 def density_path(rho0: DensityOperator, spec: EvolutionSpec, grid: TimeGrid) -> DensityPath:

@@ -12,6 +12,7 @@ Every mapping takes only the keys documented for it; any other key fails.
 from __future__ import annotations
 
 import math
+import reprlib
 from collections.abc import Hashable
 from dataclasses import dataclass, field, replace
 
@@ -35,6 +36,8 @@ PRESETS = ("bell-static", "bell-rotating")
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _PLAIN = "a scenario file holds only mappings, lists and scalars"
 _KEY = object()  # an open mapping's key, while its next event is a key
+
+_quote = reprlib.Repr().repr  # the one quote of a file value in a message: as repr(), cut when long or deep
 
 
 @dataclass
@@ -63,9 +66,9 @@ def _as_float(value, fieldname: str) -> float:
         try:
             return float(value)
         except ValueError:
-            _fail(fieldname, f"expected a number, got {value!r}")
+            _fail(fieldname, f"expected a number, got {_quote(value)}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(fieldname, f"expected a number, got {value!r}")
+        _fail(fieldname, f"expected a number, got {_quote(value)}")
     try:
         return float(value)
     except OverflowError:  # an integer beyond the float range
@@ -76,7 +79,7 @@ def _as_number(value, fieldname: str) -> float:
     """A finite number: nan and inf fail here, before any arithmetic sees them."""
     number = _as_float(value, fieldname)
     if not math.isfinite(number):
-        _fail(fieldname, f"expected a finite number, got {value!r}")
+        _fail(fieldname, f"expected a finite number, got {_quote(value)}")
     return number
 
 
@@ -84,7 +87,7 @@ def as_tolerance(value, fieldname: str) -> float:
     """A tolerance: a finite number with 0 < tol < 1."""
     tol = _as_float(value, fieldname)
     if not 0.0 < tol < 1.0:  # also rejects nan and inf
-        _fail(fieldname, f"expected a finite number with 0 < tol < 1, got {tol!r}")
+        _fail(fieldname, f"expected a finite number with 0 < tol < 1, got {_quote(tol)}")
     return tol
 
 
@@ -102,7 +105,7 @@ def _as_int(value, fieldname: str) -> int:
     except ValueError:
         number = None
     if number is None or not number.is_integer():
-        _fail(fieldname, f"expected an integer, got {value!r}")
+        _fail(fieldname, f"expected an integer, got {_quote(value)}")
     return int(number)
 
 
@@ -121,7 +124,7 @@ def _as_complex(entry, fieldname: str) -> complex:
             pass
     if isinstance(entry, (int, float)) and not isinstance(entry, bool):
         return complex(_as_number(entry, fieldname))
-    _fail(fieldname, f"expected a real number or [re, im] pair, got {entry!r}")
+    _fail(fieldname, f"expected a real number or [re, im] pair, got {_quote(entry)}")
 
 
 def _as_list(value, fieldname: str) -> list:
@@ -170,7 +173,7 @@ def _parse_state(entry, fieldname: str) -> DensityOperator:
                 _known_keys(entry, ("preset", "dimension"), fieldname)
                 dim = _as_int(entry.get("dimension", 2), f"{fieldname}.dimension")
                 return DensityOperator.maximally_mixed(dim)
-            _fail(f"{fieldname}.preset", f"unknown state preset {preset!r}")
+            _fail(f"{fieldname}.preset", f"unknown state preset {_quote(preset)}")
         if "matrix" in entry:
             _known_keys(entry, ("matrix",), fieldname)
             return DensityOperator(_as_matrix(entry["matrix"], f"{fieldname}.matrix"))
@@ -243,7 +246,7 @@ def _parse_evolution(entry, fieldname: str):
             return SampledUnitaries(us, grid)
         except Exception as exc:
             _fail(fieldname, str(exc))
-    _fail(f"{fieldname}.variant", f"expected static, rotating or sampled, got {variant!r}")
+    _fail(f"{fieldname}.variant", f"expected static, rotating or sampled, got {_quote(variant)}")
 
 
 def _parse_grid(data, spec) -> TimeGrid:
@@ -284,7 +287,7 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
         _fail("file", "top level must be a mapping")
     version = data.get("format_version")
     if version != 1 or isinstance(version, bool):  # True == 1
-        _fail("format_version", f"expected 1, got {version!r}")
+        _fail("format_version", f"expected 1, got {_quote(version)}")
 
     _known_keys(data, _PRESET_KEYS if "scenario" in data else _FILE_KEYS)
 
@@ -301,7 +304,7 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
     if "scenario" in data:
         preset = data["scenario"]
         if preset not in PRESETS:
-            _fail("scenario", f"unknown preset {preset!r}; expected one of {PRESETS}")
+            _fail("scenario", f"unknown preset {_quote(preset)}; expected one of {PRESETS}")
         overrides = {attr: convert(data[key], key) for key, (attr, convert) in PRESET_PARAMETERS.items() if key in data}
         try:
             variant = "static" if preset == "bell-static" else "rotating"
@@ -342,7 +345,7 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
         idx = tuple(_as_int(j, f"invariants[{i}]") for j in seq)
         for j in idx:
             if j < 1 or j > len(cfg.states):
-                _fail(f"invariants[{i}]", f"index {j!r} out of range 1..{len(cfg.states)}")
+                _fail(f"invariants[{i}]", f"index {_quote(j)} out of range 1..{len(cfg.states)}")
         invariants.append(idx)
     cfg.invariants = invariants
 
@@ -354,7 +357,7 @@ def parse_scenario(data, name: str = "<scenario>", base_tol: float = DEFAULT_TOL
         if A.shape[0] != dim:
             _fail(f"observables.{key}", f"dimension {A.shape[0]} vs states {dim}")
         if str(key) in cfg.observables:  # e.g. the keys 1 and '1'
-            _fail(f"observables.{key}", f"the name {str(key)!r} is used twice")
+            _fail(f"observables.{key}", f"the name {_quote(str(key))} is used twice")
         cfg.observables[str(key)] = A
     return cfg
 
@@ -421,13 +424,14 @@ def _build(loader):
                 token = f"the alias *{event.anchor}" if kind is yaml.AliasEvent else f"the anchor &{event.anchor}"
                 raise ConstructorError(None, None, f"found {token}; {_PLAIN}", mark)
             if event.tag is not None:
-                raise ConstructorError(None, None, f"found the tag {event.tag!r}; {_PLAIN}", mark)
+                raise ConstructorError(None, None, f"found the tag {_quote(event.tag)}; {_PLAIN}", mark)
             if kind is yaml.ScalarEvent:
                 node = ScalarNode(resolve(ScalarNode, event.value, event.implicit), event.value, mark)
                 try:
                     value = constructors.get(node.tag, undefined)(loader, node)
                 except (ValueError, KeyError, AttributeError):  # e.g. the timestamp 2001-13-45
-                    raise ConstructorError(None, None, f"cannot read {event.value!r} as {node.tag}", mark) from None
+                    problem = f"cannot read {_quote(event.value)} as {node.tag}"
+                    raise ConstructorError(None, None, problem, mark) from None
             else:
                 stack.append([[] if kind is yaml.SequenceStartEvent else {}, _KEY, mark])
                 continue

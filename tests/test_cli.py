@@ -761,6 +761,13 @@ def test_run_rejects_file_tolerance_outside_unit_interval(tmp_path, capsys, name
     assert err.startswith(f"error: tolerances.{name}: expected a finite number with 0 < tol < 1")
 
 
+@pytest.mark.parametrize("flag", ["--tol", "--epsilon"])
+def test_a_flag_that_is_not_a_number_fails_in_one_line(capsys, flag):
+    # --tol is read by as_tolerance, as tolerances.* is in a file, not by argparse.
+    code, out, err = run_cli(capsys, "run", "--scenario", "bell-static", flag, "abc")
+    assert (code, out, err) == (1, "", f"error: {flag}: expected a number, got 'abc'\n")
+
+
 def test_sweep_rejects_tol_flag_outside_unit_interval(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--scenario", "bell-static", "--parameter", "epsilon", "--values", "0.5", "--tol", "0",

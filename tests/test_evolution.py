@@ -17,7 +17,7 @@ from holonomy_lab.evolution import (
     time_slack,
     unitary_at,
 )
-from holonomy_lab.linalg import op_norm, unitary_exp
+from holonomy_lab.linalg import dagger, eigh_exp, hermitian_eigh, op_norm, unitary_exp
 from holonomy_lab.state import PATH_CHUNK, DensityOperator
 
 from conftest import path_matrices, random_hermitian, rho1_matrix, rho1_tau_matrix, usf_matrix
@@ -274,6 +274,39 @@ def test_rotating_generator_matches_finite_difference():
         du = (up - dn) / (2 * h)
         approx = 1j * du @ unitary_at(spec, t).conj().T
         assert op_norm(approx - rotating_generator(spec, t)) < 1e-6
+
+
+def _rotating_by_eigendecomposition(u, t):
+    """The reference for the closed forms: each exponential taken from an eigendecomposition.
+
+    U(t) = R exp(+i u t sigma_z / 2) and H(t) = -H_eff - (u/2) R sigma_z R^dag with R = exp(+i t H_eff),
+    each (x) identity on the second qubit.
+    """
+    R = eigh_exp(*hermitian_eigh(-(u / 2) * SIGMA_X), -t)
+    U = R @ eigh_exp(*hermitian_eigh(SIGMA_Z), -u * t / 2)
+    H = (u / 2) * SIGMA_X - (u / 2) * (R @ SIGMA_Z @ dagger(R))
+    return tuple(np.kron(M, np.eye(2)) if M.ndim == 2 else np.array([np.kron(m, np.eye(2)) for m in M]) for M in (U, H))
+
+
+@pytest.mark.parametrize("u", [0.3, 1.0, 2.7])
+def test_rotating_closed_forms_match_the_eigendecomposition_route(u):
+    spec = RotatingFrame(u)
+    times = np.linspace(0.0, spec.tau, 257)
+    for t in (times, *map(float, times[::16])):
+        U_ref, H_ref = _rotating_by_eigendecomposition(u, t)
+        assert np.abs(unitary_at(spec, t) - U_ref).max() <= 1e-15 * max(1.0, u)
+        assert np.abs(rotating_generator(spec, t) - H_ref).max() <= 1e-15 * max(1.0, u)
+
+
+@pytest.mark.parametrize("u", [0.3, 1.0, 2.7])
+def test_rotating_generator_is_hermitian_exactly(u):
+    spec = RotatingFrame(u)
+    times = np.linspace(0.0, spec.tau, 101)
+    H = rotating_generator(spec, times)
+    assert np.array_equal(H, dagger(H))
+    for t in times[::10]:
+        H = rotating_generator(spec, float(t))
+        assert np.array_equal(H, dagger(H))
 
 
 def test_rotating_closed_form_vs_short_step_integrator():

@@ -194,6 +194,34 @@ def test_a_deep_nesting_fails_without_recursion(tmp_path, capsys):
     assert (code, out, err) == (1, "", "error: states[0]: expected a mapping describing one state\n")
 
 
+_DEEP = "[" * 20000 + "]" * 20000
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("scenario", f"format_version: 1\nscenario: {_DEEP}\n"),
+        ("epsilon", f"format_version: 1\nscenario: bell-static\nepsilon: {_DEEP}\n"),
+        ("format_version", f"format_version: {_DEEP}\nscenario: bell-static\n"),
+        (
+            "evolution.u",
+            f"format_version: 1\nstates: [{{preset: bell-mixture}}]\nevolution: {{variant: rotating, u: {_DEEP}}}\n",
+        ),
+    ],
+    ids=["scenario", "epsilon", "format_version", "evolution.u"],
+)
+def test_a_deep_value_is_quoted_cut_in_one_error_line(tmp_path, capsys, field, text):
+    code, out, err = _run_file(tmp_path, capsys, text)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1, err
+    assert "[[[[[[[...]]]]]]]" in err
+
+
+def test_a_short_bad_value_is_quoted_as_repr(tmp_path, capsys):
+    code, out, err = _run_file(tmp_path, capsys, "format_version: 1\nscenario: bell-static\nepsilon: [1, [2, 'x']]\n")
+    assert (code, out, err) == (1, "", "error: epsilon: expected a number, got [1, [2, 'x']]\n")
+
+
 # ------------------------------------------------------------- differential
 
 _BARE = st.sampled_from(
