@@ -138,7 +138,11 @@ class RotatingFrame:
 
 @dataclass(frozen=True)
 class SampledUnitaries:
-    """Explicit unitaries on a grid, held as one (k, d, d) stack; queries off the grid are errors."""
+    """Explicit unitaries on a grid, held as one (k, d, d) stack; queries off the grid are errors.
+
+    Consecutive sample times must lie more than 2 * ``time_slack`` apart,
+    so that at most one sample matches any time.
+    """
 
     unitaries: np.ndarray
     grid: TimeGrid
@@ -147,6 +151,10 @@ class SampledUnitaries:
         us = [as_square_matrix(U) for U in self.unitaries]
         if len(us) != self.grid.times.size:
             raise ValueError("one unitary per grid time is required")
+        gap = 2 * time_slack(self.tau)
+        close = np.flatnonzero(np.diff(self.grid.times) <= gap)
+        if close.size:
+            raise ValueError(f"samples {close[0]} and {close[0] + 1} lie within 2 * time_slack = {gap!r} of each other")
         dim = us[0].shape[0]
         if first_norm_above(us[0] - np.eye(dim), DEFAULT_TOL * dim) is not None:
             raise NotUnitary("the first sampled unitary must be the identity")
@@ -167,12 +175,21 @@ class SampledUnitaries:
         return self.unitaries.shape[1]
 
     def sample_index(self, t):
-        """Index of the sample taken at time t; GridMiss when there is none.
+        """Index of the sample within ``time_slack`` of time t; GridMiss when there is none.
 
-        For a 1-D array of times, the array of their indices; GridMiss
-        names the first time without a sample.
+        No two samples lie within twice the slack, so a hit is one of t's
+        two neighbours in the grid: the left one is tried first. For a 1-D
+        array of times, the array of their indices; GridMiss names the
+        first time without a sample.
         """
-        return _sample_index(self.grid.times, t, time_slack(self.tau))
+        times, atol = self.grid.times, time_slack(self.tau)
+        k = times[1:-1].searchsorted(t) + 1  # searchsorted(times, t) clipped to [1, n - 1], without np.clip's cost
+        k -= abs(times[k - 1] - t) <= atol
+        hit = abs(times[k] - t) <= atol
+        if hit.all():
+            return k
+        miss = float(np.asarray(t).flat[hit.argmin()])
+        raise GridMiss(f"t = {miss!r} is not a sample point; resample instead of interpolating")
 
 
 EvolutionSpec = StaticHamiltonian | RotatingFrame | SampledUnitaries
@@ -185,17 +202,23 @@ def _on_driven_qubit(rows) -> np.ndarray:
     return (a[..., :, None, :, None] * eye[:, None, :]).reshape(a.shape[:-2] + (4, 4))
 
 
+def _outside(t: np.ndarray, tau: float) -> np.ndarray:
+    """Mask of the times outside [0, tau] by more than ``time_slack``; nan is outside."""
+    slack = time_slack(tau)
+    return ~((-slack <= t) & (t <= tau + slack))
+
+
 def first_time_outside(t, tau: float):
-    """The time of t outside [0, tau] by more than ``time_slack``, or None.
+    """The time of t outside [0, tau] by more than ``time_slack``, or None; nan is outside.
 
     ``t`` is one time or a 1-D array of times; for an array the first
     such time is returned, as a float.
     """
-    slack = time_slack(tau)
     if isinstance(t, np.ndarray):
-        outside = (t < -slack) | (t > tau + slack)
+        outside = _outside(t, tau)
         return float(t.flat[outside.argmax()]) if outside.any() else None
-    return t if t < -slack or t > tau + slack else None
+    slack = time_slack(tau)
+    return None if -slack <= t <= tau + slack else t
 
 
 def _check_time(spec, t):
@@ -205,37 +228,11 @@ def _check_time(spec, t):
     """
     bad = first_time_outside(t, spec.tau)
     if bad is not None:
-        if isinstance(t, np.ndarray) and isinstance(spec, SampledUnitaries):
-            spec.sample_index(t.flat[: np.argmax(t == bad)])  # a time without a sample before it fails first
+        if isinstance(spec, SampledUnitaries):
+            t = np.ravel(t)
+            spec.sample_index(t[: _outside(t, spec.tau).argmax()])  # a time without a sample before it fails first
         raise OutOfRange(f"t = {bad!r} outside [0, {spec.tau!r}]")
     return spec.sample_index(t) if isinstance(spec, SampledUnitaries) else None
-
-
-def _sample_index(times: np.ndarray, t, atol: float):
-    """First index k with |times[k] - t| <= atol, for one t or each of an array.
-
-    Hits lie within [t - atol, t + atol], so bisection narrows each search
-    to the times inside a slightly wider window, which are tested in grid
-    order with the exact criterion. GridMiss names the first t without a
-    hit.
-    """
-    lo = np.searchsorted(times, t - 2 * atol, side="left")
-    hi = np.searchsorted(times, t + 2 * atol, side="right")
-    if isinstance(t, np.ndarray):
-        index = np.full(t.shape, -1)
-        for offset in range(int(np.max(hi - lo, initial=0))):
-            k = np.minimum(lo + offset, times.size - 1)
-            hit = (index < 0) & (lo + offset < hi) & (np.abs(times[k] - t) <= atol)
-            index = np.where(hit, k, index)
-        missed = np.flatnonzero(index < 0)
-        if missed.size == 0:
-            return index
-        t = float(t.flat[missed[0]])
-    else:
-        hits = np.flatnonzero(np.abs(times[lo:hi] - t) <= atol)
-        if hits.size:
-            return int(lo) + int(hits[0])
-    raise GridMiss(f"t = {t!r} is not a sample point; resample instead of interpolating")
 
 
 def unitary_at(spec: EvolutionSpec, t) -> np.ndarray:

@@ -20,8 +20,8 @@ from .linalg import (
     DEFAULT_TOL,
     as_square_matrix,
     dagger,
+    kept_directions,
     op_norm,
-    support_projector,
     svd_isometry,
 )
 from .evolution import density_path
@@ -109,11 +109,15 @@ def sequence_invariants(states, spec, grid, sequences, tol: float = DEFAULT_TOL)
 
 
 def support_overlap(X, tol: float = DEFAULT_TOL) -> float:
-    """Operator norm of P_left P_right for the supports of X X^dag and X^dag X."""
-    op = as_square_matrix(X)
-    p_left = support_projector(op @ dagger(op), tol)
-    p_right = support_projector(dagger(op) @ op, tol)
-    return op_norm(p_left @ p_right)
+    """Operator norm of P_left P_right for the left and right supports of X.
+
+    One SVD of X: the supports span the singular directions that
+    ``kept_directions`` keeps, the rank rule of ``holonomy_isometry``, and
+    ||P_left P_right|| = ||U_kept^dag V_kept||.
+    """
+    U, s, Vh = np.linalg.svd(as_square_matrix(X))
+    keep = kept_directions(s, tol)
+    return op_norm(dagger(U[:, keep]) @ dagger(Vh[keep]))
 
 
 def nu_functional(A, X, tol: float = DEFAULT_TOL) -> NodalDiagnosis:

@@ -147,14 +147,10 @@ def evolution_spec(s: BellScenario):
 
 
 def gauge_angle(s: BellScenario, t):
-    """Accumulated ancilla-gauge angle sqrt(eps) * u * t / (1 + eps).
-
-    A float for one time, an array for a 1-D array of times.
-    """
+    """Accumulated ancilla-gauge angle sqrt(eps) * u * t / (1 + eps), for one time or each of an array."""
     if s.variant != "rotating":
         raise WrongVariant("the closed-form gauge angle belongs to the rotating variant")
-    gamma = np.sqrt(s.epsilon) * s.u * t / (1 + s.epsilon)
-    return gamma if isinstance(t, np.ndarray) else float(gamma)
+    return np.sqrt(s.epsilon) * s.u * t / (1 + s.epsilon)
 
 
 def _plane_gauge(gamma, a, b) -> np.ndarray:

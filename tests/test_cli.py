@@ -139,9 +139,15 @@ def test_run_rejects_non_list_fields(tmp_path, capsys, field, body):
          "evolution.tau: time grid must be strictly increasing"),
         ("states:\n  - vector: [1, 0]\n" + _STATIC_QUBIT.replace("  tau: 1.0\n", "  tau: 0\n"),
          "evolution.tau: tau must be positive, got 0.0"),
+        # Samples within twice the time slack would both match one time, so the later one could never be reached.
+        ("states:\n  - vector: [1, 0]\n" + _SAMPLED_QUBIT.replace("  tau: 1.0\n", "  times: [0, 1.0e-13, 1]\n"),
+         "evolution: samples 0 and 1 lie within 2 * time_slack = 2e-12 of each other"),
+        ("states:\n  - vector: [1, 0]\nevolution:\n  variant: sampled\n  tau: 1.0e-9\n  unitaries:\n"
+         + "    - [[1, 0], [0, 1]]\n" * 2001,
+         "evolution: samples 0 and 1 lie within 2 * time_slack = 2e-12 of each other"),
     ],
     ids=["eigenvector-count", "ragged-eigenvectors", "times-repeated", "times-late-start", "times-one-point",
-         "tau-zero", "tau-zero-static"],
+         "tau-zero", "tau-zero-static", "times-within-slack", "tau-within-slack"],
 )
 def test_run_rejects_mismatched_shapes_naming_the_field(tmp_path, capsys, body, err):
     bad = tmp_path / "bad.yaml"

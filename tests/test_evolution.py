@@ -161,25 +161,63 @@ def test_sampled_lookup_off_grid():
             unitary_at(spec, float(t))
 
 
+def _identity_samples(times):
+    grid = TimeGrid(np.asarray(times, dtype=float))
+    return SampledUnitaries((np.eye(2),) * grid.times.size, grid)
+
+
+def _random_sampled_spec(rng, n):
+    """Identity samples on a random grid in [0, 1]: gaps from just over twice the slack to 1e-4."""
+    gaps = rng.choice([2.001, 2.5, 3.0, 1e3, 1e8], size=n) * time_slack(1.0)
+    return _identity_samples(np.concatenate([[0.0], np.cumsum(gaps)]))
+
+
 def test_sampled_lookup_agrees_with_grid_scan():
-    # The bisection must pick the sample the full np.isclose scan picks.
-    spec = _warped_sampled_spec(1.0, 2000)
-    times = spec.grid.times
-    atol = 1e-12 * max(1.0, spec.tau)
+    # The neighbour lookup must pick the sample the full np.isclose scan picks, one time at a time and for arrays.
     rng = np.random.default_rng(5)
-    offsets = np.concatenate([[0.0, 0.5, -0.5, 0.999, -0.999, 1.001, -1.001, 2.5], rng.uniform(-3, 3, 8)])
-    for k in range(0, times.size, 7):
-        for off in offsets:
-            t = float(times[k] + off * atol)
-            if t < -1e-12 or t > spec.tau + 1e-12:
-                continue
-            hits = np.flatnonzero(np.isclose(times, t, rtol=0.0, atol=atol))
-            if hits.size == 0:
+    specs = [_warped_sampled_spec(1.0, 2000)] + [_random_sampled_spec(rng, 300) for _ in range(4)]
+    for spec in specs:
+        times = spec.grid.times
+        atol = time_slack(spec.tau)
+        offsets = np.concatenate([[0.0, 0.5, -0.5, 0.999, -0.999, 1.001, -1.001, 2.5], rng.uniform(-3, 3, 8)])
+        # Every sample at every offset, the two ends included.
+        query = (times[:, None] + offsets * atol).ravel()
+        hits = [np.flatnonzero(np.isclose(times, t, rtol=0.0, atol=atol)) for t in query]
+        expected = np.array([h[0] if h.size else -1 for h in hits])
+        found = expected >= 0
+        assert found.any() and not found.all()
+        assert np.array_equal(spec.sample_index(query[found]), expected[found])
+        missed = float(query[np.argmin(found)])
+        with pytest.raises(GridMiss, match=f"^t = {re.escape(repr(missed))} is not a sample point"):
+            spec.sample_index(query)
+        for t, k in zip(query[::7], expected[::7]):
+            t = float(t)
+            if k < 0:
                 with pytest.raises(GridMiss):
-                    unitary_at(spec, t)
+                    spec.sample_index(t)
             else:
-                assert spec.sample_index(t) == hits[0]
-                assert np.array_equal(unitary_at(spec, t), spec.unitaries[hits[0]])
+                assert spec.sample_index(t) == k
+                if -atol <= t <= spec.tau + atol:
+                    assert np.array_equal(unitary_at(spec, t), spec.unitaries[k])
+
+
+def test_sampled_times_within_twice_the_slack_are_rejected():
+    slack = time_slack(1.0)
+    with pytest.raises(ValueError, match=r"^samples 0 and 1 lie within 2 \* time_slack = 2e-12 of each other$"):
+        _identity_samples([0.0, 1e-13, 0.5, 1.0])
+    with pytest.raises(ValueError, match=r"^samples 0 and 1 lie within"):
+        _identity_samples([0.0, 2 * slack, 0.5, 1.0])
+    with pytest.raises(ValueError, match=r"^samples 2 and 3 lie within"):
+        _identity_samples([0.0, 0.25, 0.5, 0.5 + slack, 1.0])
+    # The slack grows with tau: 2e-12 apart is too close on [0, 1e3], where the slack is 1e-9.
+    with pytest.raises(ValueError, match=r"^samples 1 and 2 lie within 2 \* time_slack = 2e-09 "):
+        _identity_samples([0.0, 1.0, 1.0 + 1e-9, 1e3])
+    spec = _identity_samples([0.0, 3 * slack, 0.5, 1.0])
+    assert spec.sample_index(np.array([0.0, 3 * slack, 0.5, 1.0])).tolist() == [0, 1, 2, 3]
+    assert spec.sample_index(0.9 * slack) == 0
+    assert spec.sample_index(2.1 * slack) == 1
+    with pytest.raises(GridMiss):
+        spec.sample_index(1.5 * slack)
 
 
 def test_sampled_validation():
@@ -362,6 +400,10 @@ def test_array_times_name_the_first_time_out_of_range(case):
         unitary_at(spec, times)
     with pytest.raises(OutOfRange, match=r"^t = -0.5 outside"):
         unitary_at(spec, times[[0, 3, 2]])
+    # nan lies outside every interval, as one time and in an array.
+    for t in (float("nan"), np.asarray(np.nan), np.array([0.0, np.nan, spec.tau + 1.0])):
+        with pytest.raises(OutOfRange, match=rf"^t = nan outside \[0, {re.escape(repr(spec.tau))}\]$"):
+            unitary_at(spec, t)
 
 
 def test_array_times_name_the_first_grid_miss():
@@ -383,6 +425,10 @@ def test_array_times_name_the_first_failing_time_of_either_kind():
     spec = SampledUnitaries(tuple(unitary_exp(SIGMA_X, float(t)) for t in grid.times), grid)
     with pytest.raises(GridMiss, match=r"^t = 0\.1 is not a sample point"):
         unitary_at(spec, np.array([0.0, 0.1, 0.25, 2.0]))
+    with pytest.raises(GridMiss, match=r"^t = 0\.1 is not a sample point"):
+        unitary_at(spec, np.array([0.0, 0.1, np.nan, 2.0]))
+    with pytest.raises(OutOfRange, match=r"^t = nan outside"):
+        unitary_at(spec, np.array([0.0, np.nan, 0.1]))
     with pytest.raises(OutOfRange, match=r"^t = 2\.0 outside \[0, 1\.0\]$"):
         unitary_at(spec, np.array([0.0, 2.0, 0.1]))
     with pytest.raises(OutOfRange, match=r"^t = 2\.0 outside"):

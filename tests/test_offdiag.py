@@ -168,6 +168,12 @@ def test_support_overlap_values():
     assert support_overlap(usf_matrix() @ rho1_matrix(0.5)) < 1e-12
     full = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     assert support_overlap(full) == pytest.approx(1.0, abs=1e-12)
+    assert support_overlap(np.zeros((3, 3))) == 0.0
+    # Singular values 1 and 1e-6: holonomy_isometry's rank rule keeps both at tol = 1e-9, so both supports are the plane.
+    X = np.array([[0, 1], [1e-6, 0]], dtype=complex)
+    assert np.linalg.matrix_rank(holonomy_isometry(X)) == 2
+    assert support_overlap(X) == pytest.approx(1.0, abs=1e-12)
+    assert support_overlap(X, tol=1e-5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nodal_necessity_randomized(rng):

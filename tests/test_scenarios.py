@@ -137,6 +137,9 @@ def test_closed_form_gauge_on_an_array_stacks_the_single_time_calls():
     assert np.array_equal(stack, np.array([closed_form_B_r1(s, float(t)) for t in times]))
     with pytest.raises(ValueError, match=r"^t = -0.5 outside"):
         closed_form_B_r1(s, np.array([0.0, -0.5, s.tau + 1.0]))
+    for t in (float("nan"), np.array([0.0, np.nan])):
+        with pytest.raises(ValueError, match=r"^t = nan outside"):
+            closed_form_B_r1(s, t)
 
 
 def test_gauge_wrong_variant():
