@@ -122,9 +122,10 @@ def _random_low_rank(rng):
     )
 
 
-def _result(group, name, measured, threshold, larger_is_better=False) -> PropertyResult:
-    ok = measured >= threshold if larger_is_better else measured <= threshold
-    return PropertyResult(group=group, name=name, passed=bool(ok), measured=float(measured), threshold=float(threshold))
+def _result(name, measured, threshold, passed=None) -> tuple[str, bool, float, float]:
+    """One property's ``(name, passed, measured, threshold)``; by default it passes at ``measured <= threshold``."""
+    passed = measured <= threshold if passed is None else passed
+    return name, bool(passed), float(measured), float(threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +137,7 @@ def check_hermitian_sqrt(rng):
         M = _random_psd(rng, dim)
         R = hermitian_sqrt(M)
         worst = max(worst, op_norm(R @ R - M) / max(1.0, op_norm(M)))
-    return [_result("hermitian-sqrt", "square-recovers-input", worst, 1e-10)]
+    return [_result("square-recovers-input", worst, 1e-10)]
 
 
 def check_polar_consistency(rng):
@@ -178,9 +179,9 @@ def check_polar_consistency(rng):
         worst_routes = max(worst_routes, deviation / max(1.0, op_norm(X)))
     # The bound is max(1e-8, tol * dim) * max(1, ||X||); tol * dim <= 6e-9 here.
     return [
-        _result("polar-consistency", "left-equals-right", worst_lr, 1e-8),
-        _result("polar-consistency", "reconstruction", worst_rec, 1e-8),
-        _result("polar-consistency", "holonomy-isometry-routes", worst_routes, 1e-8),
+        _result("left-equals-right", worst_lr, 1e-8),
+        _result("reconstruction", worst_rec, 1e-8),
+        _result("holonomy-isometry-routes", worst_routes, 1e-8),
     ]
 
 
@@ -197,7 +198,7 @@ def check_support_projectors(rng):
             op_norm(support_projector(X @ dagger(X)) - p_left),
             op_norm(support_projector(dagger(X) @ X) - p_right),
         )
-    return [_result("support-projectors", "match-svd-supports", worst, 1e-10)]
+    return [_result("match-svd-supports", worst, 1e-10)]
 
 
 def check_transition_probability(rng):
@@ -216,9 +217,9 @@ def check_transition_probability(rng):
         fp = transition_probability(DensityOperator.pure(psi), DensityOperator.pure(phi))
         worst_pure = max(worst_pure, abs(fp - abs(psi.conj() @ phi) ** 2))
     return [
-        _result("transition-probability", "in-unit-interval", worst_range, 0.0),
-        _result("transition-probability", "pure-overlap", worst_pure, 1e-10),
-        _result("transition-probability", "symmetric", worst_sym, 1e-10),
+        _result("in-unit-interval", worst_range, 0.0),
+        _result("pure-overlap", worst_pure, 1e-10),
+        _result("symmetric", worst_sym, 1e-10),
     ]
 
 
@@ -231,8 +232,8 @@ def check_unitary_exp(rng):
     H = _random_hermitian(rng, 3)
     worst_group = op_norm(unitary_exp(H, 0.7) @ unitary_exp(H, 0.5) - unitary_exp(H, 1.2))
     return [
-        _result("unitary-exp", "unitarity", worst, 1e-10),
-        _result("unitary-exp", "group-law", worst_group, 1e-10),
+        _result("unitarity", worst, 1e-10),
+        _result("group-law", worst_group, 1e-10),
     ]
 
 
@@ -253,9 +254,9 @@ def check_purification(rng):
         W2 = _random_unitary(rng, dim) @ _random_density(rng, dim).sqrt
         worst_sym = max(worst_sym, abs(parallelity_residual(W, W2) - parallelity_residual(W2, W)))
     return [
-        _result("purification", "state-recovery", worst_state, 1e-12),
-        _result("purification", "unitary-gauge-preserves-state", worst_gauge, 1e-12),
-        _result("purification", "parallelity-swap-symmetry", worst_sym, 1e-12),
+        _result("state-recovery", worst_state, 1e-12),
+        _result("unitary-gauge-preserves-state", worst_gauge, 1e-12),
+        _result("parallelity-swap-symmetry", worst_sym, 1e-12),
     ]
 
 
@@ -271,7 +272,7 @@ def check_path_spectrum(rng):
     V = path.V
     m = (V * path.w[:, None, :]) @ dagger(V)
     worst = float(np.max(np.abs(np.linalg.eigvalsh(hermitian_part(m)) - rho.eigenvalues)))
-    return [_result("path-spectrum", "unitary-invariance", worst, 1e-10)]
+    return [_result("unitary-invariance", worst, 1e-10)]
 
 
 def check_integrator_oracle(rng):
@@ -285,7 +286,7 @@ def check_integrator_oracle(rng):
         for step in unitary_exp(rotating_generator(spec, ts[k] + dt / 2), float(dt)):
             U = step @ U
     err = op_norm(unitary_at(spec, spec.tau) - U)
-    return [_result("integrator-oracle", "rotating-closed-form", err, 1e-8)]
+    return [_result("rotating-closed-form", err, 1e-8)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +296,7 @@ def check_parallelity_steps(rng):
     rho = _random_density(rng, 4)  # full rank
     spec = StaticHamiltonian(_random_hermitian(rng, 4), tau=1.0)
     res = discrete_holonomy(density_path(rho, spec, TimeGrid.uniform(1.0, 1000)))
-    return [_result("parallelity-steps", "consecutive-residual", res.max_step_parallelity_residual, 1e-8)]
+    return [_result("consecutive-residual", res.max_step_parallelity_residual, 1e-8)]
 
 
 def check_reparameterization(rng):
@@ -308,7 +309,7 @@ def check_reparameterization(rng):
     idx = np.repeat(k, np.where(k % 7 == 3, 2, 1))  # monotone (non-strict) reparameterization pauses
     doubled = discrete_holonomy(DensityPath(path.w[idx], path.V[idx]))
     err = op_norm(base.relative_phase_factor - doubled.relative_phase_factor)
-    return [_result("reparameterization", "pause-invariance", err, 1e-8)]
+    return [_result("pause-invariance", err, 1e-8)]
 
 
 def check_gauge_invariance(rng):
@@ -333,7 +334,7 @@ def check_gauge_invariance(rng):
         X = off_diagonal_invariant(results)
         Xg = off_diagonal_invariant(gauged)
         worst = max(worst, op_norm(X - Xg))
-    return [_result("gauge-invariance", "distinct-partial-isometries", worst, 1e-10)]
+    return [_result("distinct-partial-isometries", worst, 1e-10)]
 
 
 def check_transport_convergence(rng):
@@ -351,15 +352,7 @@ def check_transport_convergence(rng):
         monotone = all(
             b <= a * 1.05 or b <= floor for a, b in zip(errors, errors[1:])
         )
-        out.append(
-            PropertyResult(
-                group="transport-convergence",
-                name=f"{variant}-monotone",
-                passed=monotone,
-                measured=float(errors[-1]),
-                threshold=float(errors[0] + floor),
-            )
-        )
+        out.append(_result(f"{variant}-monotone", errors[-1], errors[0] + floor, passed=monotone))
     return out
 
 
@@ -377,7 +370,7 @@ def check_factorization(rng):
         X = off_diagonal_invariant(results)
         prod = results[0].invariant @ results[1].invariant @ results[2].invariant
         worst = max(worst, op_norm(X - prod))
-    return [_result("factorization", "product-of-constituents", worst, 1e-10)]
+    return [_result("product-of-constituents", worst, 1e-10)]
 
 
 def check_nodal_necessity(rng):
@@ -394,7 +387,7 @@ def check_nodal_necessity(rng):
             worst_trace = np.inf
             break
         worst_trace = max(worst_trace, abs(np.trace(X)))
-    return [_result("nodal-necessity", "orthogonal-supports-kill-trace", worst_trace, 1e-8)]
+    return [_result("orthogonal-supports-kill-trace", worst_trace, 1e-8)]
 
 
 def check_trace_cyclic(rng):
@@ -417,8 +410,8 @@ def check_trace_cyclic(rng):
         Yg = alternative_ordering([gauged_first, results[1]])
         worst_gauge = max(worst_gauge, op_norm(Yg - dagger(S) @ Y @ S))
     return [
-        _result("trace-cyclic", "trace-matches-standard-ordering", worst, 1e-10),
-        _result("trace-cyclic", "gauge-conjugates-alternative", worst_gauge, 1e-10),
+        _result("trace-matches-standard-ordering", worst, 1e-10),
+        _result("gauge-conjugates-alternative", worst_gauge, 1e-10),
     ]
 
 
@@ -442,7 +435,7 @@ def check_pure_state_reduction(rng):
             diag = nu_functional(np.eye(dim), X)
             delta = abs(np.angle(diag.trace / barg))
             worst = max(worst, min(delta, 2 * np.pi - delta))
-    return [_result("pure-state-reduction", "bargmann-product", worst, 1e-8)]
+    return [_result("bargmann-product", worst, 1e-8)]
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +461,7 @@ def check_interferometric_pure(rng):
         if not gamma.defined or abs(tr) < 1e-9:
             continue
         worst = max(worst, abs(gamma.factor - tr / abs(tr)))
-    return [_result("interferometric-pure", "matches-holonomy-factor", worst, 1e-6)]
+    return [_result("matches-holonomy-factor", worst, 1e-6)]
 
 
 def check_global_phase(rng):
@@ -487,7 +480,7 @@ def check_global_phase(rng):
             continue
         worst = max(worst, abs(g1.factor - np.exp(1j * l * theta) * g0.factor))
         worst = max(worst, abs(g1.trace - np.exp(1j * l * theta) * g0.trace))
-    return [_result("global-phase", "trace-exposes-l-theta", worst, 1e-10)]
+    return [_result("trace-exposes-l-theta", worst, 1e-10)]
 
 
 def check_root_power(rng):
@@ -497,7 +490,7 @@ def check_root_power(rng):
         root = support_power(rho.eigenvalues, rho.eigenvectors, 1.0 / l, 1e-9)
         powered = np.linalg.matrix_power(root, l)
         worst = max(worst, op_norm(powered - rho.matrix))
-    return [_result("root-power", "lth-root-powers-back", worst, 1e-10)]
+    return [_result("lth-root-powers-back", worst, 1e-10)]
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +505,8 @@ def check_bell_nodal_grid(rng):
         worst_x1 = max(worst_x1, support_overlap(invariants[(1,)]))
         worst_x12 = min(worst_x12, support_overlap(invariants[(1, 2)]))
     return [
-        _result("bell-nodal-grid", "order-1-orthogonal-supports", worst_x1, 1e-9),
-        _result("bell-nodal-grid", "order-2-overlap", worst_x12, 0.1, larger_is_better=True),
+        _result("order-1-orthogonal-supports", worst_x1, 1e-9),
+        _result("order-2-overlap", worst_x12, 0.1, passed=worst_x12 >= 0.1),
     ]
 
 
@@ -524,7 +517,7 @@ def check_path_dependence(rng):
         xs = closed_form_invariants(BellScenario(epsilon=eps, variant="static"))[2]
         xr = closed_form_invariants(BellScenario(epsilon=eps, variant="rotating"))[2]
         smallest = min(smallest, op_norm(xs - xr))
-    out.append(_result("path-dependence", "static-vs-rotating", smallest, 1e-3, larger_is_better=True))
+    out.append(_result("static-vs-rotating", smallest, 1e-3, passed=smallest >= 1e-3))
     # Pure limit: both collapse to the same rank-1 invariant, whose trace
     # is the two-step product of overlaps through the flip.
     xs = closed_form_invariants(BellScenario(epsilon=0.0, variant="static"))[2]
@@ -532,15 +525,8 @@ def check_path_dependence(rng):
     psi_plus, psi_minus, phi_plus, phi_minus = bell_basis()
     usf = spin_flip_unitary()
     barg = (psi_minus.conj() @ usf @ phi_plus) * (phi_plus.conj() @ usf @ psi_minus)
-    out.append(_result("path-dependence", "pure-limit-coincides", op_norm(xs - xr), 1e-6))
-    out.append(
-        _result(
-            "path-dependence",
-            "pure-limit-bargmann-trace",
-            abs(complex(np.trace(xs)) - barg),
-            1e-10,
-        )
-    )
+    out.append(_result("pure-limit-coincides", op_norm(xs - xr), 1e-6))
+    out.append(_result("pure-limit-bargmann-trace", abs(complex(np.trace(xs)) - barg), 1e-10))
     return out
 
 
@@ -556,16 +542,7 @@ def check_gauge_residual_convergence(rng):
     out = []
     for n in (500, 1000, 2000):
         ratio = residuals[n] / residuals[2 * n]
-        ok = 3.5 <= ratio <= 4.5
-        out.append(
-            PropertyResult(
-                group="gauge-residual-convergence",
-                name=f"ratio-n{n}",
-                passed=ok,
-                measured=float(ratio),
-                threshold=4.0,
-            )
-        )
+        out.append(_result(f"ratio-n{n}", ratio, 4.0, passed=3.5 <= ratio <= 4.5))
     return out
 
 
@@ -577,7 +554,7 @@ def check_reference_return(rng):
     w, V = rho2_path.w[n], rho2_path.frames(n, n + 1)[0]
     last = (V * w) @ dagger(V)
     err = op_norm(hermitian_part(last) - rho1.matrix)
-    return [_result("reference-return", "flip-returns-reference", err, 1e-10)]
+    return [_result("flip-returns-reference", err, 1e-10)]
 
 
 _CHECKS = (
@@ -607,19 +584,21 @@ _CHECKS = (
 )
 
 
+# A property's group is its check's name: ``check_root_power`` -> ``root-power``.
+_GROUPS = tuple(fn.__name__.removeprefix("check_").replace("_", "-") for fn in _CHECKS)
+
+
 def property_groups() -> list[str]:
-    return sorted({fn.__name__.removeprefix("check_").replace("_", "-") for fn in _CHECKS})
+    return sorted(_GROUPS)
 
 
 def run_properties(seed: int = 0, only: str | None = None) -> list[PropertyResult]:
     """Run the property suite deterministically for the given seed."""
-    results = []
-    for offset, fn in enumerate(_CHECKS):
-        group = fn.__name__.removeprefix("check_").replace("_", "-")
-        if only is not None and group != only:
-            continue
-        rng = np.random.default_rng(seed * 1000 + offset)
-        results.extend(fn(rng))
-    if only is not None and not results:
+    if only is not None and only not in _GROUPS:
         raise ValueError(f"unknown property group {only!r}; available: {', '.join(property_groups())}")
+    results = []
+    for offset, (group, fn) in enumerate(zip(_GROUPS, _CHECKS)):
+        if only in (None, group):
+            rng = np.random.default_rng(seed * 1000 + offset)
+            results += [PropertyResult(group, *outcome) for outcome in fn(rng)]
     return results
