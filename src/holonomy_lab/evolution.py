@@ -39,6 +39,12 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _T_ATOL = 1e-12
 
+# The most steps of a uniform grid. Its n_steps + 1 float64 times must have a byte count
+# that numpy's intp can hold, and linspace counts them through a float, which rounds up
+# near that limit; half the limit leaves room for both. Below it, a grid too large for
+# memory fails in numpy's allocation, as a MemoryError.
+MAX_STEPS = np.iinfo(np.intp).max // 16
+
 
 def time_slack(tau: float) -> float:
     """The one time tolerance on [0, tau]: times this close to a point match it."""
@@ -64,9 +70,11 @@ class TimeGrid:
         object.__setattr__(self, "times", t)
 
     @classmethod
-    def uniform(cls, tau: float, n_steps: int = 1000) -> "TimeGrid":
+    def uniform(cls, tau: float, n_steps: int) -> "TimeGrid":
         if n_steps < 1:
             raise ValueError("n_steps must be positive")
+        if n_steps > MAX_STEPS:
+            raise ValueError(f"n_steps must be at most {MAX_STEPS}, got {n_steps}")
         if not np.isfinite(tau):  # checked first: linspace to inf warns
             raise ValueError("time grid must be finite")
         return cls(np.linspace(0.0, float(tau), n_steps + 1))

@@ -48,20 +48,20 @@ DEFAULT_TOL = 1e-9
 
 
 def as_square_matrix(M) -> np.ndarray:
-    """Coerce to a finite square complex ndarray."""
+    """Coerce to a finite square complex ndarray of size at least 1."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
     return M
 
 
 def as_square_stack(M) -> np.ndarray:
-    """Coerce to a finite complex ndarray: one square matrix or a (k, d, d) stack."""
+    """Coerce to a finite complex ndarray: one square matrix or a (k, d, d) stack, d >= 1."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {M.shape}")
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] == 0:
+        raise ValueError(f"expected a non-empty square matrix or a stack of them, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
     return M

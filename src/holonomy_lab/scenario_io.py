@@ -172,6 +172,8 @@ def _parse_state(entry, fieldname: str) -> DensityOperator:
             if preset == "maximally-mixed":
                 _known_keys(entry, ("preset", "dimension"), fieldname)
                 dim = _as_int(entry.get("dimension", 2), f"{fieldname}.dimension")
+                if dim < 1:
+                    _fail(f"{fieldname}.dimension", f"expected a positive integer, got {dim}")
                 return DensityOperator.maximally_mixed(dim)
             _fail(f"{fieldname}.preset", f"unknown state preset {_quote(preset)}")
         if "matrix" in entry:
@@ -186,6 +188,8 @@ def _parse_state(entry, fieldname: str) -> DensityOperator:
                 _as_number(v, f"{fieldname}.eigenvalues[{i}]")
                 for i, v in enumerate(_as_list(entry["eigenvalues"], f"{fieldname}.eigenvalues"))
             ]
+            if not lam:
+                _fail(f"{fieldname}.eigenvalues", "expected a non-empty list")
             vecs = entry.get("eigenvectors")
             if vecs is None:
                 _fail(f"{fieldname}.eigenvectors", "required alongside eigenvalues")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import NegativeWeight, WrongVariant
 from .evolution import (
+    MAX_STEPS,
     SIGMA_Y,
     RotatingFrame,
     StaticHamiltonian,
@@ -130,9 +131,8 @@ class BellScenario:
             raise ValueError(f"u must give a finite tau = pi/u, got {self.u!r}")
         if self.n_steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.n_steps!r}")
-        # The grid's n_steps + 1 times must fit one numpy array.
-        if self.n_steps >= np.iinfo(np.intp).max:
-            raise ValueError(f"steps must be less than {np.iinfo(np.intp).max}, got {self.n_steps!r}")
+        if self.n_steps > MAX_STEPS:  # TimeGrid.uniform's bound, named as this field
+            raise ValueError(f"steps must be at most {MAX_STEPS}, got {self.n_steps!r}")
 
     @property
     def tau(self) -> float:

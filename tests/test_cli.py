@@ -1,12 +1,14 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from holonomy_lab.cli import main
-from holonomy_lab.evolution import TimeGrid
+from holonomy_lab.evolution import MAX_STEPS, TimeGrid
+from holonomy_lab.verify import property_groups
 
 from conftest import angle_diff
 
@@ -647,35 +649,58 @@ def test_one_step_exits_one_naming_steps(tmp_path, capsys, argv, body):
 
 
 _HUGE = "99999999999999999999"
+_GRID_FILE = _MIXED_QUBIT + _STATIC_QUBIT + "grid:\n  n_steps: {}\n"
 
 
 @pytest.mark.parametrize(
-    "argv, body",
+    "argv, body, steps",
     [
-        (("run", "--scenario", "bell-static", "--steps", _HUGE), None),
-        (("run",), f"format_version: 1\nscenario: bell-static\nsteps: {_HUGE}\n"),
-        (("sweep", "--scenario", "bell-static", "--parameter", "steps", "--values", _HUGE), None),
+        (("run", "--scenario", "bell-static", "--steps", "{}"), None, _HUGE),
+        (("run",), "format_version: 1\nscenario: bell-static\nsteps: {}\n", _HUGE),
+        (("sweep", "--scenario", "bell-static", "--parameter", "steps", "--values", "{}"), None, _HUGE),
+        # linspace fails on these with an IndexError or "array is too big", which names no field.
+        (("run", "--scenario", "bell-static", "--steps", "{}"), None, "9223372036854775806"),
+        (("run", "--scenario", "bell-static", "--steps", "{}"), None, "4611686018427387904"),
+        (("run", "--scenario", "bell-static", "--steps", "{}"), None, "1152921504606846974"),
+        (("run",), "format_version: 1\nscenario: bell-static\nsteps: {}\n", "9223372036854775806"),
+        (("sweep", "--scenario", "bell-static", "--parameter", "steps", "--values", "{}"), None, "9223372036854775806"),
+        (("run",), _GRID_FILE, "9223372036854775806"),
+        (("run",), _GRID_FILE, "9223372036854775807"),
+        (("run",), _GRID_FILE, str(MAX_STEPS + 1)),
     ],
-    ids=["flag", "file-key", "sweep-value"],
+    ids=["flag", "file-key", "sweep-value", "flag-intp", "flag-2pow62", "flag-2pow60", "file-key-intp",
+         "sweep-value-intp", "file-grid-intp", "file-grid-intp-max", "file-grid-bound"],
 )
-def test_huge_step_count_exits_one_naming_steps(tmp_path, capsys, argv, body):
-    # Beyond any numpy array length: rejected before a grid is built.
+def test_huge_step_count_exits_one_naming_steps(tmp_path, capsys, argv, body, steps):
+    # Beyond MAX_STEPS: rejected before a grid is built. A count at or below it would try to
+    # allocate its grid, so none is run here.
+    argv = tuple(arg.format(steps) for arg in argv)
     if body is not None:
         path = tmp_path / "huge.yaml"
-        path.write_text(body, encoding="utf-8")
+        path.write_text(body.format(steps), encoding="utf-8")
         argv = argv + ("--scenario", str(path))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    prefix = "scenario: " if body is not None else ""
-    assert err == f"error: {prefix}steps must be less than {np.iinfo(np.intp).max}, got {_HUGE}\n"
+    if body is None:
+        assert err == f"error: steps must be at most {MAX_STEPS}, got {steps}\n"
+    elif "grid" in body:
+        assert err == f"error: grid: n_steps must be at most {MAX_STEPS}, got {steps}\n"
+    else:
+        assert err == f"error: scenario: steps must be at most {MAX_STEPS}, got {steps}\n"
 
 
 # ----------------------------------------------------------------------- verify
 
-def test_verify_single_group(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--only", "gauge-invariance")
+_VERIFY_SEED0 = (Path(__file__).parent / "golden" / "verify-seed0.txt").read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("group", property_groups())
+def test_verify_single_group(capsys, group):
+    # The group's lines of the full run, with the same rng: a drifting name or offset fails.
+    lines = [line for line in _VERIFY_SEED0 if line.split()[1].startswith(f"{group}::")]
+    code, out, _ = run_cli(capsys, "verify", "--only", group, "--seed", "0")
     assert code == 0
-    assert "PASS gauge-invariance" in out
+    assert lines and out.splitlines() == lines + [f"{len(lines)}/{len(lines)} properties passed (seed=0)"]
 
 
 def test_verify_seeded_determinism(capsys):
@@ -837,12 +862,19 @@ _STATES = "format_version: 1\nstates:\n"
          "states[0].eigenvectors: required alongside eigenvalues"),
         ("run", _STATES + "  - epsilon: 0.5\n" + _STATIC_QUBIT,
          "states[0]: needs one of: preset, matrix, vector, eigenvalues"),
+        ("run", _MIXED_QUBIT.replace("dimension: 2", "dimension: 0") + _STATIC_QUBIT,
+         "states[0].dimension: expected a positive integer, got 0"),
+        ("run", _MIXED_QUBIT.replace("dimension: 2", "dimension: -1") + _STATIC_QUBIT,
+         "states[0].dimension: expected a positive integer, got -1"),
+        ("run", _STATES + "  - eigenvalues: []\n    eigenvectors: []\n" + _STATIC_QUBIT,
+         "states[0].eigenvalues: expected a non-empty list"),
         ("sweep", _QUBIT, "sweep: only preset scenarios can be swept"),
     ],
     ids=["top-level", "tolerances", "state-dimensions", "evolution-missing", "evolution-not-a-mapping",
          "evolution-dimension", "one-unitary", "grid-not-a-mapping", "grid-tau", "invariants-empty",
          "invariant-empty", "observables-not-a-mapping", "observable-dimension", "matrix-empty", "matrix-row",
-         "matrix-not-square", "vector-empty", "state-preset", "eigenvectors-missing", "state-form", "sweep-file"],
+         "matrix-not-square", "vector-empty", "state-preset", "eigenvectors-missing", "state-form", "dimension-zero",
+         "dimension-negative", "eigenvalues-empty", "sweep-file"],
 )
 def test_a_bad_scenario_file_exits_one_naming_its_field(tmp_path, capsys, command, body, error):
     path = tmp_path / "bad.yaml"

@@ -20,7 +20,8 @@ from holonomy_lab.linalg import (
     unitary_exp,
     validate_density,
 )
-from holonomy_lab.state import PATH_CHUNK
+from holonomy_lab.evolution import StaticHamiltonian
+from holonomy_lab.state import PATH_CHUNK, DensityOperator
 
 from conftest import (
     PHI_MINUS,
@@ -85,6 +86,17 @@ def test_sqrt_squares_back_randomized(dim, seed):
     M = A @ A.conj().T
     R = hermitian_sqrt(M)
     assert op_norm(R @ R - M) <= 1e-10 * max(1.0, op_norm(M))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [DensityOperator, hermitian_sqrt, lambda M: StaticHamiltonian(M, tau=1.0)],
+    ids=["density-operator", "hermitian-sqrt", "static-hamiltonian"],
+)
+def test_a_zero_size_matrix_is_rejected(build):
+    # d = 0 fails the one square-matrix rule, not an index later on.
+    with pytest.raises(ValueError, match=r"expected a non-empty square matrix.*got shape \(0, 0\)"):
+        build(np.zeros((0, 0)))
 
 
 # ------------------------------------------------------------ support_projector
