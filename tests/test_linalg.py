@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holonomy_lab.errors import InvalidState, NotHermitian, NotPSD
+from holonomy_lab.evolution import StaticHamiltonian
 from holonomy_lab.linalg import (
     eigh_exp,
     first_norm_above,
@@ -20,7 +21,6 @@ from holonomy_lab.linalg import (
     unitary_exp,
     validate_density,
 )
-from holonomy_lab.evolution import StaticHamiltonian
 from holonomy_lab.state import PATH_CHUNK, DensityOperator
 
 from conftest import (
